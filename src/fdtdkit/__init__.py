@@ -6,7 +6,6 @@ from .backends import (
     InsufficientSamplesError,
     KernelPlan,
     StencilExecutor,
-    backend_report,
     execute_stencil,
 )
 from .bench import (
@@ -21,14 +20,8 @@ from .engine import (
     SnapshotSeries,
     UpdateCoefficients,
     field_energy,
-    inject_source,
     run,
-    step_1d,
-    step_3d,
-    update_e_1d,
-    update_e_3d,
-    update_h_1d,
-    update_h_3d,
+    step,
 )
 from .linalg import (
     LuFactorization,
@@ -72,7 +65,6 @@ __all__ = [
     "StencilExecutor",
     "UnstableCourantError",
     "UpdateCoefficients",
-    "backend_report",
     "central_difference",
     "compute_bandwidth",
     "compute_speedup",
@@ -80,7 +72,6 @@ __all__ = [
     "execute_stencil",
     "field_energy",
     "flop_count",
-    "inject_source",
     "lu_factor",
     "lu_solve",
     "make_vacuum_materials",
@@ -91,11 +82,6 @@ __all__ = [
     "run_fdtd_bench",
     "run_linsolve_bench",
     "solve",
-    "step_1d",
-    "step_3d",
-    "update_e_1d",
-    "update_e_3d",
-    "update_h_1d",
-    "update_h_3d",
+    "step",
     "validate_stability",
 ]

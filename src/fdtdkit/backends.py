@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import math
 import os
-import statistics
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 # Smallest work unit, in cells. Anything finer would be dominated by
 # dispatch overhead.
@@ -214,23 +213,3 @@ def execute_stencil(
     with StencilExecutor(backend) as ex:
         ex.run(kernel, plan)
 
-
-def backend_report(
-    backend: Backend,
-    elapsed_samples: Sequence[float] | Iterable[float],
-    cell_updates: int,
-) -> float:
-    """Median throughput in cell-updates/second for one backend.
-
-    ``elapsed_samples`` are wall-clock seconds, each covering ``cell_updates``
-    cell updates. Fewer than three samples raises
-    :class:`InsufficientSamplesError` rather than reporting a fragile number.
-    """
-    samples = [float(s) for s in elapsed_samples]
-    if len(samples) < 3:
-        raise InsufficientSamplesError(len(samples))
-    if any(s <= 0 for s in samples):
-        raise ValueError("elapsed samples must be positive")
-    if cell_updates <= 0:
-        raise ValueError("cell_updates must be positive")
-    return cell_updates / statistics.median(samples)

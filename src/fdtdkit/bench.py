@@ -272,6 +272,22 @@ def compute_speedup(parallel: object, serial: object) -> SpeedupRecord:
     )
 
 
+def pair_speedups(records: Sequence[object]) -> list[SpeedupRecord]:
+    """Match each parallel measurement with the serial one for its problem."""
+    serial_by_key = {
+        (r.n, r.precision): r
+        for r in records
+        if not r.backend.is_parallel and r.rate is not None
+    }
+    pairs = []
+    for rec in records:
+        if rec.backend.is_parallel and rec.rate is not None:
+            serial = serial_by_key.get((rec.n, rec.precision))
+            if serial is not None:
+                pairs.append(compute_speedup(rec, serial))
+    return pairs
+
+
 def speedup_summary(speedups: Sequence[SpeedupRecord]) -> dict:
     """Summary document keyed by bench:n:precision:backend."""
     return {rec.key(): rec.to_json_dict() for rec in speedups}
@@ -429,10 +445,8 @@ def run_fdtd_bench(
     wrong answer is not a benchmark result.
     """
     records: list[FdtdBenchRecord] = []
-    speedups: list[SpeedupRecord] = []
     for config in configs:
         reference: bytes | None = None
-        serial_rec: FdtdBenchRecord | None = None
         for backend in backends:
             series = run(config, backend=backend)
             blob = b"".join(
@@ -455,11 +469,7 @@ def run_fdtd_bench(
                 updates_per_s=fdtd_cell_updates(config) / elapsed,
             )
             records.append(rec)
-            if not backend.is_parallel and serial_rec is None:
-                serial_rec = rec
-            elif backend.is_parallel and serial_rec is not None:
-                speedups.append(compute_speedup(rec, serial_rec))
-    return records, speedups
+    return records, pair_speedups(records)
 
 
 def _final_component_arrays(state) -> list[np.ndarray]:

@@ -23,7 +23,7 @@ from .backends import Backend, BackendResourceError
 from .bench import (
     BandwidthRecord,
     SpeedupRecord,
-    compute_speedup,
+    pair_speedups,
     run_bandwidth_bench,
     run_fdtd_bench,
     run_linsolve_bench,
@@ -268,22 +268,6 @@ def cmd_bench_bandwidth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _pair_speedups(records: Sequence[object]) -> list[SpeedupRecord]:
-    """Match each parallel measurement with the serial one for its problem."""
-    serial_by_key = {
-        (r.n, r.precision): r
-        for r in records
-        if not r.backend.is_parallel and r.rate is not None
-    }
-    pairs = []
-    for rec in records:
-        if rec.backend.is_parallel and rec.rate is not None:
-            serial = serial_by_key.get((rec.n, rec.precision))
-            if serial is not None:
-                pairs.append(compute_speedup(rec, serial))
-    return pairs
-
-
 def cmd_bench_linsolve(args: argparse.Namespace) -> int:
     records = run_linsolve_bench(
         args.sizes,
@@ -293,7 +277,7 @@ def cmd_bench_linsolve(args: argparse.Namespace) -> int:
         repeats=args.repeats,
         memory_cap_bytes=args.memory_cap_bytes,
     )
-    speedups = _pair_speedups(records)
+    speedups = pair_speedups(records)
     with _open_out(args.out) as fh:
         emit_bench_json(records, speedups, fh, include_timing=not args.no_timing)
     if not args.no_timing:

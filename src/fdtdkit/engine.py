@@ -21,9 +21,12 @@ and ``lh = sigma_star*dt/(2*mu)``::
 so the lossless case reduces bitwise to the plain ``dt/(delta*eps)`` and
 ``dt/(delta*mu)`` factors.
 
-Kernels are pure: they read one generation and write a fresh buffer, so the
-execution backend may split the index range into chunks in any order without
-changing a single bit of the output (see :mod:`fdtdkit.backends`). All
+Half-steps update the live arrays in place. A component's update reads only
+its own cell of itself; every neighbor it reads belongs to the other field,
+which stays fixed for the whole half-step. So the execution backend may split
+the index range into chunks in any order without changing a single bit of the
+output (see :mod:`fdtdkit.backends`), and no second buffer is needed. A run
+allocates its state once and copies it only to take a snapshot. All
 arithmetic stays in the run's precision; scalar factors are cast to the array
 dtype before any kernel touches them.
 """
@@ -140,102 +143,31 @@ def _write_source(ez: FloatArray, source: SourceSpec, n: int, deltat: float) -> 
         ez[target] = val
 
 
-def inject_source(
-    state: FieldState, source: SourceSpec, n: int, deltat: float
-) -> FieldState:
-    """Return a state with the step-``n`` source value written into Ez.
-
-    Hard sources overwrite the target cell (or full y-z plane for a 3D plane
-    source); soft sources add. Nothing else changes, including the step count.
-    """
-    ez = state.ez.copy()
-    _write_source(ez, source, n, deltat)
-    return replace(state, ez=ez)
-
-
 # --- 1D kernels ---------------------------------------------------------
 
 
-def _advance_hy_1d(
-    ez: FloatArray,
-    hy: FloatArray,
-    coeff: UpdateCoefficients,
-    backend: Backend,
-    executor: StencilExecutor | None,
-    out: FloatArray | None = None,
-) -> FloatArray:
-    n = hy.shape[0]
-    if out is None:
-        out = hy.copy()
-    else:
-        np.copyto(out, hy)
+def _advance_h_1d(
+    state: FieldState1D, coeff: UpdateCoefficients, backend: Backend, executor: StencilExecutor
+) -> None:
+    ez, hy = state.ez, state.hy
     cha, chb = coeff.cha, coeff.chb
 
     def kernel(lo: int, hi: int) -> None:
-        out[lo:hi] = cha[lo:hi] * hy[lo:hi] + chb[lo:hi] * (ez[lo + 1 : hi + 1] - ez[lo:hi])
+        hy[lo:hi] = cha[lo:hi] * hy[lo:hi] + chb[lo:hi] * (ez[lo + 1 : hi + 1] - ez[lo:hi])
 
-    execute_stencil(kernel, KernelPlan.for_range(0, n - 1, backend), backend, executor)
-    return out
+    execute_stencil(kernel, KernelPlan.for_range(0, hy.shape[0] - 1, backend), backend, executor)
 
 
-def _advance_ez_1d(
-    ez: FloatArray,
-    hy: FloatArray,
-    coeff: UpdateCoefficients,
-    backend: Backend,
-    executor: StencilExecutor | None,
-    out: FloatArray | None = None,
-) -> FloatArray:
-    n = ez.shape[0]
-    if out is None:
-        out = ez.copy()
-    else:
-        np.copyto(out, ez)
+def _advance_e_1d(
+    state: FieldState1D, coeff: UpdateCoefficients, backend: Backend, executor: StencilExecutor
+) -> None:
+    ez, hy = state.ez, state.hy
     cea, ceb = coeff.cea, coeff.ceb
 
     def kernel(lo: int, hi: int) -> None:
-        out[lo:hi] = cea[lo:hi] * ez[lo:hi] + ceb[lo:hi] * (hy[lo:hi] - hy[lo - 1 : hi - 1])
+        ez[lo:hi] = cea[lo:hi] * ez[lo:hi] + ceb[lo:hi] * (hy[lo:hi] - hy[lo - 1 : hi - 1])
 
-    execute_stencil(kernel, KernelPlan.for_range(1, n, backend), backend, executor)
-    return out
-
-
-def update_h_1d(
-    state: FieldState1D,
-    coeff: UpdateCoefficients,
-    backend: Backend = _SERIAL,
-    executor: StencilExecutor | None = None,
-) -> FieldState1D:
-    """Advance Hy half a leapfrog cycle; the last cell stays frozen."""
-    return replace(state, hy=_advance_hy_1d(state.ez, state.hy, coeff, backend, executor))
-
-
-def update_e_1d(
-    state: FieldState1D,
-    coeff: UpdateCoefficients,
-    backend: Backend = _SERIAL,
-    executor: StencilExecutor | None = None,
-) -> FieldState1D:
-    """Advance Ez half a leapfrog cycle; the first cell stays frozen."""
-    return replace(state, ez=_advance_ez_1d(state.ez, state.hy, coeff, backend, executor))
-
-
-def step_1d(
-    state: FieldState1D,
-    coeff: UpdateCoefficients,
-    source: SourceSpec | None,
-    deltat: float,
-    backend: Backend = _SERIAL,
-    executor: StencilExecutor | None = None,
-) -> FieldState1D:
-    """One full step: source write, H update, E update, step count + 1."""
-    n = state.step + 1
-    ez = state.ez.copy()
-    if source is not None:
-        _write_source(ez, source, n, deltat)
-    hy = _advance_hy_1d(ez, state.hy, coeff, backend, executor)
-    ez = _advance_ez_1d(ez, hy, coeff, backend, executor)
-    return FieldState1D(ez=ez, hy=hy, step=n)
+    execute_stencil(kernel, KernelPlan.for_range(1, ez.shape[0], backend), backend, executor)
 
 
 # --- 3D kernels ---------------------------------------------------------
@@ -245,127 +177,107 @@ def step_1d(
 #
 #   hx: j,k trimmed high   hy: i,k trimmed high   hz: i,j trimmed high
 #   ex: j,k trimmed low    ey: i,k trimmed low    ez: i,j trimmed low
+#
+# One plan over all x slabs drives the three components of a field; the
+# components trimmed along x clip their share of each chunk.
 
 
-def _slab_plan(lo: int, hi: int, shape: tuple[int, int, int], backend: Backend) -> KernelPlan:
-    return KernelPlan.for_range(lo, hi, backend, cells_per_index=shape[1] * shape[2])
+def _slab_plan(shape: tuple[int, int, int], backend: Backend) -> KernelPlan:
+    return KernelPlan.for_range(0, shape[0], backend, cells_per_index=shape[1] * shape[2])
 
 
 def _advance_h_3d(
-    state: FieldState3D,
-    coeff: UpdateCoefficients,
-    backend: Backend,
-    executor: StencilExecutor | None,
-) -> tuple[FloatArray, FloatArray, FloatArray]:
+    state: FieldState3D, coeff: UpdateCoefficients, backend: Backend, executor: StencilExecutor
+) -> None:
     ex, ey, ez = state.ex, state.ey, state.ez
     hx, hy, hz = state.hx, state.hy, state.hz
     nx, ny, nz = ex.shape
     cha, chb = coeff.cha, coeff.chb
-    hx_out, hy_out, hz_out = hx.copy(), hy.copy(), hz.copy()
 
-    def hx_kernel(lo: int, hi: int) -> None:
+    def kernel(lo: int, hi: int) -> None:
         s = (slice(lo, hi), slice(0, ny - 1), slice(0, nz - 1))
-        hx_out[s] = cha[s] * hx[s] + chb[s] * (
+        hx[s] = cha[s] * hx[s] + chb[s] * (
             (ey[lo:hi, : ny - 1, 1:nz] - ey[s]) - (ez[lo:hi, 1:ny, : nz - 1] - ez[s])
         )
-
-    def hy_kernel(lo: int, hi: int) -> None:
+        hi = min(hi, nx - 1)  # hy and hz keep their high x face
         s = (slice(lo, hi), slice(None), slice(0, nz - 1))
-        hy_out[s] = cha[s] * hy[s] + chb[s] * (
+        hy[s] = cha[s] * hy[s] + chb[s] * (
             (ez[lo + 1 : hi + 1, :, : nz - 1] - ez[s]) - (ex[lo:hi, :, 1:nz] - ex[s])
         )
-
-    def hz_kernel(lo: int, hi: int) -> None:
         s = (slice(lo, hi), slice(0, ny - 1), slice(None))
-        hz_out[s] = cha[s] * hz[s] + chb[s] * (
+        hz[s] = cha[s] * hz[s] + chb[s] * (
             (ex[lo:hi, 1:ny, :] - ex[s]) - (ey[lo + 1 : hi + 1, : ny - 1, :] - ey[s])
         )
 
-    shape = ex.shape
-    execute_stencil(hx_kernel, _slab_plan(0, nx, shape, backend), backend, executor)
-    execute_stencil(hy_kernel, _slab_plan(0, nx - 1, shape, backend), backend, executor)
-    execute_stencil(hz_kernel, _slab_plan(0, nx - 1, shape, backend), backend, executor)
-    return hx_out, hy_out, hz_out
+    execute_stencil(kernel, _slab_plan(ex.shape, backend), backend, executor)
 
 
 def _advance_e_3d(
-    state: FieldState3D,
-    coeff: UpdateCoefficients,
-    backend: Backend,
-    executor: StencilExecutor | None,
-) -> tuple[FloatArray, FloatArray, FloatArray]:
+    state: FieldState3D, coeff: UpdateCoefficients, backend: Backend, executor: StencilExecutor
+) -> None:
     ex, ey, ez = state.ex, state.ey, state.ez
     hx, hy, hz = state.hx, state.hy, state.hz
-    nx, ny, nz = ex.shape
+    ny, nz = ex.shape[1:]
     cea, ceb = coeff.cea, coeff.ceb
-    ex_out, ey_out, ez_out = ex.copy(), ey.copy(), ez.copy()
 
-    def ex_kernel(lo: int, hi: int) -> None:
+    def kernel(lo: int, hi: int) -> None:
         s = (slice(lo, hi), slice(1, ny), slice(1, nz))
-        ex_out[s] = cea[s] * ex[s] + ceb[s] * (
+        ex[s] = cea[s] * ex[s] + ceb[s] * (
             (hz[s] - hz[lo:hi, : ny - 1, 1:nz]) - (hy[s] - hy[lo:hi, 1:ny, : nz - 1])
         )
-
-    def ey_kernel(lo: int, hi: int) -> None:
+        lo = max(lo, 1)  # ey and ez keep their low x face
         s = (slice(lo, hi), slice(None), slice(1, nz))
-        ey_out[s] = cea[s] * ey[s] + ceb[s] * (
+        ey[s] = cea[s] * ey[s] + ceb[s] * (
             (hx[s] - hx[lo:hi, :, : nz - 1]) - (hz[s] - hz[lo - 1 : hi - 1, :, 1:nz])
         )
-
-    def ez_kernel(lo: int, hi: int) -> None:
         s = (slice(lo, hi), slice(1, ny), slice(None))
-        ez_out[s] = cea[s] * ez[s] + ceb[s] * (
+        ez[s] = cea[s] * ez[s] + ceb[s] * (
             (hy[s] - hy[lo - 1 : hi - 1, 1:ny, :]) - (hx[s] - hx[lo:hi, : ny - 1, :])
         )
 
-    shape = ex.shape
-    execute_stencil(ex_kernel, _slab_plan(0, nx, shape, backend), backend, executor)
-    execute_stencil(ey_kernel, _slab_plan(1, nx, shape, backend), backend, executor)
-    execute_stencil(ez_kernel, _slab_plan(1, nx, shape, backend), backend, executor)
-    return ex_out, ey_out, ez_out
+    execute_stencil(kernel, _slab_plan(ex.shape, backend), backend, executor)
 
 
-def update_h_3d(
-    state: FieldState3D,
+# --- stepping -----------------------------------------------------------
+
+
+def _advance(
+    state: FieldState,
     coeff: UpdateCoefficients,
-    backend: Backend = _SERIAL,
-    executor: StencilExecutor | None = None,
-) -> FieldState3D:
-    """Advance Hx, Hy, Hz from the current E field (forward differences)."""
-    hx, hy, hz = _advance_h_3d(state, coeff, backend, executor)
-    return replace(state, hx=hx, hy=hy, hz=hz)
+    source: SourceSpec | None,
+    n: int,
+    deltat: float,
+    backend: Backend,
+    executor: StencilExecutor,
+) -> None:
+    """Advance the arrays of ``state`` to step ``n`` in place: source, H, E."""
+    if source is not None:
+        _write_source(state.ez, source, n, deltat)
+    if isinstance(state, FieldState1D):
+        _advance_h_1d(state, coeff, backend, executor)
+        _advance_e_1d(state, coeff, backend, executor)
+    else:
+        _advance_h_3d(state, coeff, backend, executor)
+        _advance_e_3d(state, coeff, backend, executor)
 
 
-def update_e_3d(
-    state: FieldState3D,
-    coeff: UpdateCoefficients,
-    backend: Backend = _SERIAL,
-    executor: StencilExecutor | None = None,
-) -> FieldState3D:
-    """Advance Ex, Ey, Ez from the current H field (backward differences)."""
-    ex, ey, ez = _advance_e_3d(state, coeff, backend, executor)
-    return replace(state, ex=ex, ey=ey, ez=ez)
-
-
-def step_3d(
-    state: FieldState3D,
+def step(
+    state: FieldState,
     coeff: UpdateCoefficients,
     source: SourceSpec | None,
     deltat: float,
     backend: Backend = _SERIAL,
-    executor: StencilExecutor | None = None,
-) -> FieldState3D:
-    """One full 3D step: source write, H update, E update, step count + 1."""
+) -> FieldState:
+    """One full step on a copy of ``state``: source write, H update, E update.
+
+    ``source=None`` advances the fields without driving them. The input state
+    is left untouched; the result owns its arrays and carries step count + 1.
+    """
     n = state.step + 1
-    work = state
-    if source is not None:
-        ez = state.ez.copy()
-        _write_source(ez, source, n, deltat)
-        work = replace(state, ez=ez)
-    hx, hy, hz = _advance_h_3d(work, coeff, backend, executor)
-    work = replace(work, hx=hx, hy=hy, hz=hz)
-    ex, ey, ez = _advance_e_3d(work, coeff, backend, executor)
-    return FieldState3D(ex=ex, ey=ey, ez=ez, hx=hx, hy=hy, hz=hz, step=n)
+    out = replace(state.copy(), step=n)
+    with StencilExecutor(backend) as executor:
+        _advance(out, coeff, source, n, deltat, backend, executor)
+    return out
 
 
 # --- run loop -----------------------------------------------------------
@@ -408,7 +320,6 @@ def run(
             f"materials dtype {materials.dtype} != run precision {config.precision.dtype}"
         )
     coeff = UpdateCoefficients.from_materials(materials, config.deltat, config.delta)
-    stepper = step_1d if config.dims == 1 else step_3d
     if config.dims == 1:
         state: FieldState = FieldState1D.zeros(config.extent, config.precision)
     else:
@@ -418,9 +329,10 @@ def run(
     cadence = config.snapshot_every
     with StencilExecutor(backend) as executor:
         for n in range(1, config.time_tot + 1):
-            state = stepper(state, coeff, config.source, config.deltat, backend, executor)
+            _advance(state, coeff, config.source, n, config.deltat, backend, executor)
             if cadence and n % cadence == 0:
-                states.append(state)
+                states.append(replace(state.copy(), step=n))
+    # The loop is over, so the final state can keep the live arrays.
     if not states or states[-1].step != config.time_tot:
-        states.append(state)
+        states.append(replace(state, step=config.time_tot))
     return SnapshotSeries(config=config, states=tuple(states))

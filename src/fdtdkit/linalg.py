@@ -15,6 +15,7 @@ row permutation that was applied.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +86,7 @@ def lu_factor(
     n = a.shape[0]
     perm = np.arange(n)
 
-    def factor(ex: StencilExecutor | None) -> None:
+    with nullcontext(executor) if executor is not None else StencilExecutor(backend) as ex:
         for k in range(n):
             p = k + int(np.argmax(np.abs(a[k:, k])))
             if a[p, k] == 0.0:
@@ -104,12 +105,6 @@ def lu_factor(
 
             plan = KernelPlan.for_range(k + 1, n, backend, cells_per_index=n - k - 1)
             execute_stencil(kernel, plan, backend, ex)
-
-    if executor is not None or not backend.is_parallel:
-        factor(executor)
-    else:
-        with StencilExecutor(backend) as ex:
-            factor(ex)
     return LuFactorization(lu=a, perm=perm)
 
 

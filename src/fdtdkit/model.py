@@ -129,8 +129,8 @@ class SourceSpec:
     plane: bool = False
 
     def __post_init__(self) -> None:
-        if self.n_lambda <= 0.0:
-            raise ValueError(f"n_lambda must be positive, got {self.n_lambda!r}")
+        if not math.isfinite(self.n_lambda) or self.n_lambda <= 0.0:
+            raise ValueError(f"n_lambda must be positive and finite, got {self.n_lambda!r}")
         if self.tstart < 0:
             raise ValueError(f"tstart must be non-negative, got {self.tstart!r}")
         if not math.isfinite(self.amplitude):
@@ -187,11 +187,18 @@ class MaterialGrid:
                 raise ValueError(f"{name} dtype {arr.dtype} != epsilon dtype {dtype}")
         if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
             raise ValueError(f"material dtype must be float32 or float64, got {dtype}")
-        if not np.all(self.epsilon > 0):
+        low = {}
+        for name in ("epsilon", "mu", "sigma", "sigma_star"):
+            arr = getattr(self, name)
+            # min and max propagate NaN, so the two bound every cell
+            low[name], high = arr.min(), arr.max()
+            if not (np.isfinite(low[name]) and np.isfinite(high)):
+                raise ValueError(f"{name} must be finite everywhere")
+        if not low["epsilon"] > 0:
             raise ValueError("epsilon must be positive everywhere")
-        if not np.all(self.mu > 0):
+        if not low["mu"] > 0:
             raise ValueError("mu must be positive everywhere")
-        if np.any(self.sigma < 0) or np.any(self.sigma_star < 0):
+        if low["sigma"] < 0 or low["sigma_star"] < 0:
             raise ValueError("sigma and sigma_star must be non-negative")
 
     @property

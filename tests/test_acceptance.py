@@ -16,7 +16,7 @@ import pytest
 from fdtdkit.backends import Backend
 from fdtdkit.bench import SolveBenchRecord, compute_bandwidth, compute_speedup, flop_count
 from fdtdkit.cli import main
-from fdtdkit.engine import UpdateCoefficients, field_energy, run, step_1d
+from fdtdkit.engine import UpdateCoefficients, field_energy, run, step
 from fdtdkit.linalg import (
     SingularMatrixError,
     lu_factor,
@@ -170,11 +170,11 @@ def test_c06_loss_monotonicity():
         source = SourceSpec(location=100)
         state = FieldState1D.zeros(xdim)
         for _ in range(20):
-            state = step_1d(state, coeff, source, 0.5)
+            state = step(state, coeff, source, 0.5)
         energy = field_energy(state, materials)
         assert energy > 0.0
         for n in range(21, 201):
-            state = step_1d(state, coeff, None, 0.5)
+            state = step(state, coeff, None, 0.5)
             nxt = field_energy(state, materials)
             assert nxt <= energy * (1.0 + 1e-12), f"energy rose at step {n}"
             energy = nxt

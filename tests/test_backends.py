@@ -7,10 +7,8 @@ from fdtdkit.backends import (
     MIN_CHUNK_CELLS,
     WORKERS_ENV_VAR,
     Backend,
-    InsufficientSamplesError,
     KernelPlan,
     StencilExecutor,
-    backend_report,
     default_worker_count,
     execute_stencil,
 )
@@ -131,16 +129,3 @@ def test_executor_reuse_and_worker_exceptions():
         with pytest.raises(RuntimeError, match="kernel failure"):
             ex.run(boom, KernelPlan.for_range(0, out.shape[0], backend))
 
-
-def test_backend_report_median():
-    rate = backend_report(Backend.serial(), [1.0, 2.0, 10.0], 1_000_000)
-    assert rate == 500_000.0
-
-
-def test_backend_report_needs_three_samples():
-    with pytest.raises(InsufficientSamplesError):
-        backend_report(Backend.serial(), [1.0, 2.0], 1000)
-    with pytest.raises(ValueError):
-        backend_report(Backend.serial(), [1.0, 0.0, 2.0], 1000)
-    with pytest.raises(ValueError):
-        backend_report(Backend.serial(), [1.0, 2.0, 3.0], 0)

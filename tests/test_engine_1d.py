@@ -6,15 +6,7 @@ import numpy as np
 import pytest
 
 from fdtdkit.backends import Backend
-from fdtdkit.engine import (
-    UpdateCoefficients,
-    field_energy,
-    inject_source,
-    run,
-    step_1d,
-    update_e_1d,
-    update_h_1d,
-)
+from fdtdkit.engine import UpdateCoefficients, field_energy, run, step
 from fdtdkit.model import (
     FieldState1D,
     MaterialGrid,
@@ -57,29 +49,42 @@ def test_overdamped_coefficients_rejected():
         UpdateCoefficients.from_materials(materials, deltat=1.0, delta=1.0)
 
 
-def test_h_update_hand_example():
-    # single Ez spike, S = 0.5: Hy picks up +-0.5 on the two adjacent cells
+def identity_coefficients(xdim):
+    # cea = cha = 1 and ceb = chb = 0 make both half-steps exact identities,
+    # so a step changes nothing but the source cell
+    ones, zeros = np.ones(xdim), np.zeros(xdim)
+    return UpdateCoefficients(cea=ones, ceb=zeros, cha=ones, chb=zeros)
+
+
+def hand_example_step():
+    # single Ez spike, S = 0.5, one full step without a source
     coeff = vacuum_coefficients(3, deltat=0.5)
     state = FieldState1D(ez=np.array([0.0, 1.0, 0.0]), hy=np.zeros(3))
-    after = update_h_1d(state, coeff)
+    return state, step(state, coeff, None, 0.5)
+
+
+def test_h_update_hand_example():
+    # Hy picks up +-0.5 on the two cells next to the spike; the E half-step
+    # does not write Hy, and the input state is left alone
+    state, after = hand_example_step()
     np.testing.assert_array_equal(after.hy, [0.5, -0.5, 0.0])
-    np.testing.assert_array_equal(after.ez, state.ez)
+    np.testing.assert_array_equal(state.ez, [0.0, 1.0, 0.0])
+    np.testing.assert_array_equal(state.hy, np.zeros(3))
+    assert (state.step, after.step) == (0, 1)
 
 
 def test_e_update_hand_example():
-    coeff = vacuum_coefficients(3, deltat=0.5)
-    state = FieldState1D(ez=np.array([0.0, 1.0, 0.0]), hy=np.array([0.5, -0.5, 0.0]))
-    after = update_e_1d(state, coeff)
+    # Ez reads the Hy of the same step: 1 + 0.5*(-0.5 - 0.5), 0 + 0.5*(0 + 0.5)
+    _, after = hand_example_step()
     np.testing.assert_array_equal(after.ez, [0.0, 0.5, 0.25])
 
 
 def test_constant_fields_have_zero_curl():
     coeff = vacuum_coefficients(4, deltat=1.0)
     flat = FieldState1D(ez=np.ones(4), hy=np.full(4, 2.5))
-    after_h = update_h_1d(flat, coeff)
-    np.testing.assert_array_equal(after_h.hy, flat.hy)
-    after_e = update_e_1d(flat, coeff)
-    np.testing.assert_array_equal(after_e.ez, flat.ez)
+    after = step(flat, coeff, None, 1.0)
+    np.testing.assert_array_equal(after.hy, flat.hy)
+    np.testing.assert_array_equal(after.ez, flat.ez)
 
 
 def test_zero_amplitude_source_leaves_state_zero():
@@ -92,11 +97,12 @@ def test_zero_amplitude_source_leaves_state_zero():
 
 def test_hard_source_overwrites_soft_source_adds():
     state = FieldState1D(ez=np.full(5, 2.0), hy=np.zeros(5))
+    coeff = identity_coefficients(5)
     hard = SourceSpec(location=2, n_lambda=4.0, tstart=0)
     val = hard.value_at(1, 1.0)
-    assert inject_source(state, hard, 1, 1.0).ez[2] == val
+    assert step(state, coeff, hard, 1.0).ez[2] == val
     soft = SourceSpec(location=2, n_lambda=4.0, tstart=0, soft=True)
-    assert inject_source(state, soft, 1, 1.0).ez[2] == 2.0 + val
+    assert step(state, coeff, soft, 1.0).ez[2] == 2.0 + val
 
 
 def test_frozen_edge_cells_never_change():
@@ -213,7 +219,7 @@ def test_sourceless_evolution_stays_bounded():
         )
         initial = max(np.max(np.abs(state.ez)), np.max(np.abs(state.hy)))
         for _ in range(10_000):
-            state = step_1d(state, coeff, None, courant)
+            state = step(state, coeff, None, courant)
         final = max(np.max(np.abs(state.ez)), np.max(np.abs(state.hy)))
         assert final <= 10.0 * initial
 
@@ -230,11 +236,11 @@ def test_loss_drains_energy_monotonically():
     source = SourceSpec(location=32)
     state = FieldState1D.zeros(xdim)
     for _ in range(20):
-        state = step_1d(state, coeff, source, 0.5)
+        state = step(state, coeff, source, 0.5)
     energy = field_energy(state, materials)
     assert energy > 0.0
     for _ in range(180):
-        state = step_1d(state, coeff, None, 0.5)
+        state = step(state, coeff, None, 0.5)
         nxt = field_energy(state, materials)
         assert nxt <= energy * (1.0 + 1e-12)
         energy = nxt

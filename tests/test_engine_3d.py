@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fdtdkit.backends import Backend
-from fdtdkit.engine import UpdateCoefficients, field_energy, run, step_3d, update_h_3d
+from fdtdkit.engine import UpdateCoefficients, field_energy, run, step
 from fdtdkit.model import (
     FieldState3D,
     Precision,
@@ -26,7 +26,7 @@ def test_single_ez_spike_curls_into_four_h_samples():
     coeff = vacuum_coefficients(shape, deltat=0.5)
     state = FieldState3D.zeros(shape)
     state.ez[c] = 1.0
-    after = update_h_3d(state, coeff)
+    after = step(state, coeff, None, 0.5)
 
     expected_hx = np.zeros(shape)
     expected_hx[3, 2, 3] = -0.5
@@ -37,8 +37,11 @@ def test_single_ez_spike_curls_into_four_h_samples():
     np.testing.assert_array_equal(after.hx, expected_hx)
     np.testing.assert_array_equal(after.hy, expected_hy)
     np.testing.assert_array_equal(after.hz, np.zeros(shape))
-    # E components untouched by the H half-step
-    np.testing.assert_array_equal(after.ez, state.ez)
+    # the E half-step does not write H, and the input state is left alone
+    expected_ez = np.zeros(shape)
+    expected_ez[c] = 1.0
+    np.testing.assert_array_equal(state.ez, expected_ez)
+    np.testing.assert_array_equal(state.hx, np.zeros(shape))
 
 
 def test_h_update_is_antisymmetric_across_the_spike():
@@ -46,7 +49,7 @@ def test_h_update_is_antisymmetric_across_the_spike():
     coeff = vacuum_coefficients(shape, deltat=0.5)
     state = FieldState3D.zeros(shape)
     state.ez[4, 4, 4] = 2.5
-    after = update_h_3d(state, coeff)
+    after = step(state, coeff, None, 0.5)
     assert after.hx[4, 3, 4] == -after.hx[4, 4, 4]
     assert after.hy[3, 4, 4] == -after.hy[4, 4, 4]
     assert np.count_nonzero(after.hx) == 2
@@ -83,17 +86,19 @@ def test_source_cell_cancellation_at_one_step():
 
 
 def test_plane_source_fills_the_whole_sheet():
-    from fdtdkit.engine import inject_source
-
+    # cea = cha = 1 and ceb = chb = 0 make both half-steps exact identities,
+    # so a step changes nothing but the source cells
+    ones, zeros = np.ones((8, 8, 8)), np.zeros((8, 8, 8))
+    coeff = UpdateCoefficients(cea=ones, ceb=zeros, cha=ones, chb=zeros)
     plane = SourceSpec(location=(4, 4, 4), n_lambda=4.0, tstart=0, plane=True)
     state = FieldState3D.zeros((8, 8, 8))
-    injected = inject_source(state, plane, 1, 0.5)
+    injected = step(state, coeff, plane, 0.5)
     val = plane.value_at(1, 0.5)
     assert val != 0.0
     assert np.all(injected.ez[4] == val)
     assert np.all(injected.ez[:4] == 0.0) and np.all(injected.ez[5:] == 0.0)
     point = SourceSpec(location=(4, 4, 4), n_lambda=4.0, tstart=0)
-    single = inject_source(state, point, 1, 0.5)
+    single = step(state, coeff, point, 0.5)
     assert np.count_nonzero(single.ez) == 1
 
 
@@ -147,11 +152,11 @@ def test_3d_energy_grows_while_driven():
     source = SourceSpec(location=(5, 5, 5))
     state = FieldState3D.zeros(shape)
     # the waveform's first sample is zero, so measure from step 2 on
-    state = step_3d(state, coeff, source, 0.5)
-    state = step_3d(state, coeff, source, 0.5)
+    state = step(state, coeff, source, 0.5)
+    state = step(state, coeff, source, 0.5)
     first = field_energy(state, materials)
     for _ in range(3):
-        state = step_3d(state, coeff, source, 0.5)
+        state = step(state, coeff, source, 0.5)
     assert field_energy(state, materials) > first > 0.0
 
 

@@ -144,3 +144,26 @@ def test_material_grid_validation():
         MaterialGrid(epsilon=ok, mu=ok, sigma=-np.ones(5), sigma_star=np.zeros(5))
     with pytest.raises(ValueError):
         MaterialGrid(epsilon=ok, mu=np.ones(6), sigma=np.zeros(5), sigma_star=np.zeros(5))
+
+
+def _materials_with(name, value):
+    arrays = {"epsilon": np.ones(5), "mu": np.ones(5), "sigma": np.zeros(5), "sigma_star": np.zeros(5)}
+    arrays[name][2] = value
+    return lambda: MaterialGrid(**arrays)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SourceSpec(location=5, n_lambda=math.nan),
+        lambda: SourceSpec(location=5, n_lambda=math.inf),
+        _materials_with("sigma", math.nan),
+        _materials_with("sigma_star", math.inf),
+        _materials_with("epsilon", math.inf),
+        _materials_with("mu", math.inf),
+    ],
+    ids=["n_lambda-nan", "n_lambda-inf", "sigma-nan", "sigma_star-inf", "epsilon-inf", "mu-inf"],
+)
+def test_non_finite_inputs_rejected(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
