@@ -30,7 +30,6 @@ from .linalg import (
     lu_solve,
     relative_residual,
     residual_bound,
-    solve,
 )
 from .model import (
     FieldState1D,
@@ -81,7 +80,6 @@ __all__ = [
     "run",
     "run_fdtd_bench",
     "run_linsolve_bench",
-    "solve",
     "step",
     "validate_stability",
 ]

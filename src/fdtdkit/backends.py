@@ -128,7 +128,7 @@ class KernelPlan:
         if span == 0:
             return cls(start, stop, (), cells_per_index)
         total_cells = span * cells_per_index
-        if not backend.is_parallel or backend.workers == 1 or total_cells < 2 * MIN_CHUNK_CELLS:
+        if backend.workers == 1 or total_cells < 2 * MIN_CHUNK_CELLS:
             return cls(start, stop, ((start, stop),), cells_per_index)
         # Aim for a few chunks per worker, but never drop below the cell floor.
         floor_indices = max(1, math.ceil(MIN_CHUNK_CELLS / cells_per_index))
@@ -165,7 +165,7 @@ class StencilExecutor:
         self._pool: ThreadPoolExecutor | None = None
 
     def __enter__(self) -> "StencilExecutor":
-        if self.backend.is_parallel and self.backend.workers > 1:
+        if self.backend.workers > 1:
             try:
                 self._pool = ThreadPoolExecutor(max_workers=self.backend.workers)
             except Exception as exc:

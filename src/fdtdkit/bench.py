@@ -25,7 +25,7 @@ import os
 import statistics
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence, Union
 
 import numpy as np
 
@@ -156,6 +156,7 @@ class BandwidthRecord:
 class SolveBenchRecord:
     """One dense-solve measurement, or a skip entry when it never ran."""
 
+    bench: ClassVar[str] = "linsolve"
     n: int
     precision: Precision
     backend: Backend
@@ -171,7 +172,7 @@ class SolveBenchRecord:
 
     def to_json_dict(self, include_timing: bool = True) -> dict:
         return {
-            "bench": "linsolve",
+            "bench": self.bench,
             "n": self.n,
             "precision": self.precision.value,
             "backend": str(self.backend),
@@ -187,6 +188,7 @@ class SolveBenchRecord:
 class FdtdBenchRecord:
     """Field-update throughput for one grid, step count, and backend."""
 
+    bench: ClassVar[str] = "fdtd"
     cells: int
     steps: int
     precision: Precision
@@ -204,7 +206,7 @@ class FdtdBenchRecord:
 
     def to_json_dict(self, include_timing: bool = True) -> dict:
         return {
-            "bench": "fdtd",
+            "bench": self.bench,
             "n": self.cells,
             "steps": self.steps,
             "precision": self.precision.value,
@@ -241,16 +243,18 @@ class SpeedupRecord:
         }
 
 
-def compute_speedup(parallel: object, serial: object) -> SpeedupRecord:
+# A record that carries a rate and can be paired into a speedup.
+RateRecord = Union[SolveBenchRecord, FdtdBenchRecord]
+
+
+def compute_speedup(parallel: RateRecord, serial: RateRecord) -> SpeedupRecord:
     """Pair a parallel and a serial record for the same problem.
 
     Raises :class:`MismatchedPairError` when sizes or precisions differ, or
     when the records come from different bench kinds or are skips.
     """
-    kind_p = parallel.to_json_dict()["bench"]
-    kind_s = serial.to_json_dict()["bench"]
-    if kind_p != kind_s:
-        raise MismatchedPairError(f"bench kinds differ: {kind_p} vs {kind_s}")
+    if parallel.bench != serial.bench:
+        raise MismatchedPairError(f"bench kinds differ: {parallel.bench} vs {serial.bench}")
     if parallel.n != serial.n:
         raise MismatchedPairError(f"sizes differ: {parallel.n} vs {serial.n}")
     if parallel.precision is not serial.precision:
@@ -262,7 +266,7 @@ def compute_speedup(parallel: object, serial: object) -> SpeedupRecord:
     if parallel.rate is None or serial.rate is None:
         raise MismatchedPairError("cannot compute a speedup from skip records")
     return SpeedupRecord(
-        bench=kind_p,
+        bench=parallel.bench,
         n=parallel.n,
         precision=parallel.precision,
         backend_parallel=parallel.backend,
@@ -272,7 +276,7 @@ def compute_speedup(parallel: object, serial: object) -> SpeedupRecord:
     )
 
 
-def pair_speedups(records: Sequence[object]) -> list[SpeedupRecord]:
+def pair_speedups(records: Sequence[RateRecord]) -> list[SpeedupRecord]:
     """Match each parallel measurement with the serial one for its problem."""
     serial_by_key = {
         (r.n, r.precision): r
@@ -449,9 +453,7 @@ def run_fdtd_bench(
         reference: bytes | None = None
         for backend in backends:
             series = run(config, backend=backend)
-            blob = b"".join(
-                arr.tobytes() for arr in _final_component_arrays(series.final)
-            )
+            blob = b"".join(arr.tobytes() for arr in series.final.components().values())
             if reference is None:
                 reference = blob
             elif blob != reference:
@@ -470,9 +472,3 @@ def run_fdtd_bench(
             )
             records.append(rec)
     return records, pair_speedups(records)
-
-
-def _final_component_arrays(state) -> list[np.ndarray]:
-    if hasattr(state, "components"):
-        return list(state.components().values())
-    return [state.ez, state.hy]

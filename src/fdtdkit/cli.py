@@ -22,6 +22,7 @@ from typing import Iterator, Sequence, TextIO
 from .backends import Backend, BackendResourceError
 from .bench import (
     BandwidthRecord,
+    RateRecord,
     SpeedupRecord,
     pair_speedups,
     run_bandwidth_bench,
@@ -30,7 +31,7 @@ from .bench import (
     speedup_summary,
 )
 from .engine import SnapshotSeries, run
-from .model import FieldState3D, Precision, SimulationConfig, SourceSpec
+from .model import FieldState3D, Location, Precision, SimulationConfig, SourceSpec
 
 _CSV_HEADER_1D = "step,index,Ez,Hy"
 _CSV_HEADER_3D = "step,i,j,k,Ex,Ey,Ez,Hx,Hy,Hz"
@@ -196,46 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_speedup_doc(path: str | None, speedups: Sequence[SpeedupRecord]) -> None:
-    if path is None:
-        return
-    with _open_out(path) as fh:
-        fh.write(json.dumps(speedup_summary(speedups), indent=2, sort_keys=True))
-        fh.write("\n")
-
-
-def cmd_simulate(args: argparse.Namespace) -> int:
-    location = args.xdim // 2 if args.source_cell is None else args.source_cell
-    config = SimulationConfig(
-        extent=args.xdim,
-        time_tot=args.steps,
-        source=SourceSpec(
-            location=location,
-            n_lambda=args.n_lambda,
-            tstart=args.tstart,
-            amplitude=args.amplitude,
-            soft=args.soft_source,
-        ),
-        delta=args.delta,
-        courant=args.courant,
-        precision=Precision.parse(args.precision),
-        snapshot_every=args.snapshot_every,
-        units=args.units,
-    )
-    series = run(config, backend=Backend.parse(args.backend))
-    with _open_out(args.out) as fh:
-        emit_snapshot_csv(series, fh)
-    return 0
-
-
-def cmd_simulate3d(args: argparse.Namespace) -> int:
-    extent = (args.nx, args.ny, args.nz)
-    if args.source_cell is None:
-        location = (args.nx // 2, args.ny // 2, args.nz // 2)
-    else:
-        if len(args.source_cell) != 3:
-            raise ValueError("--source-cell needs exactly three comma-separated indices")
-        location = tuple(args.source_cell)
+def _simulate(
+    args: argparse.Namespace, extent: int | tuple[int, int, int], location: Location, plane: bool
+) -> int:
     config = SimulationConfig(
         extent=extent,
         time_tot=args.steps,
@@ -245,7 +209,7 @@ def cmd_simulate3d(args: argparse.Namespace) -> int:
             tstart=args.tstart,
             amplitude=args.amplitude,
             soft=args.soft_source,
-            plane=args.plane_source,
+            plane=plane,
         ),
         delta=args.delta,
         courant=args.courant,
@@ -259,12 +223,40 @@ def cmd_simulate3d(args: argparse.Namespace) -> int:
     return 0
 
 
+def cmd_simulate(args: argparse.Namespace) -> int:
+    location = args.xdim // 2 if args.source_cell is None else args.source_cell
+    return _simulate(args, args.xdim, location, plane=False)
+
+
+def cmd_simulate3d(args: argparse.Namespace) -> int:
+    extent = (args.nx, args.ny, args.nz)
+    if args.source_cell is None:
+        location = tuple(n // 2 for n in extent)
+    elif len(args.source_cell) != 3:
+        raise ValueError("--source-cell needs exactly three comma-separated indices")
+    else:
+        location = tuple(args.source_cell)
+    return _simulate(args, extent, location, plane=args.plane_source)
+
+
 def cmd_bench_bandwidth(args: argparse.Namespace) -> int:
     records = run_bandwidth_bench(args.sizes, repeats=args.repeats)
     with _open_out(args.out) as fh:
         emit_bench_json(records, (), fh, include_timing=not args.no_timing)
     for line in bandwidth_summary_lines(records):
         print(line, file=sys.stderr)
+    return 0
+
+
+def _emit_rate_bench(
+    args: argparse.Namespace, records: Sequence[RateRecord], speedups: Sequence[SpeedupRecord]
+) -> int:
+    """JSON lines to ``--out``; with timing on, the speedup summary to ``--speedup-out``."""
+    with _open_out(args.out) as fh:
+        emit_bench_json(records, speedups, fh, include_timing=not args.no_timing)
+    if args.speedup_out is not None and not args.no_timing:
+        with _open_out(args.speedup_out) as fh:
+            fh.write(json.dumps(speedup_summary(speedups), indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -277,12 +269,7 @@ def cmd_bench_linsolve(args: argparse.Namespace) -> int:
         repeats=args.repeats,
         memory_cap_bytes=args.memory_cap_bytes,
     )
-    speedups = pair_speedups(records)
-    with _open_out(args.out) as fh:
-        emit_bench_json(records, speedups, fh, include_timing=not args.no_timing)
-    if not args.no_timing:
-        _write_speedup_doc(args.speedup_out, speedups)
-    return 0
+    return _emit_rate_bench(args, records, pair_speedups(records))
 
 
 def cmd_bench_fdtd(args: argparse.Namespace) -> int:
@@ -297,11 +284,7 @@ def cmd_bench_fdtd(args: argparse.Namespace) -> int:
         for xdim in args.sizes
     ]
     records, speedups = run_fdtd_bench(configs, backends=args.backends, repeats=args.repeats)
-    with _open_out(args.out) as fh:
-        emit_bench_json(records, speedups, fh, include_timing=not args.no_timing)
-    if not args.no_timing:
-        _write_speedup_doc(args.speedup_out, speedups)
-    return 0
+    return _emit_rate_bench(args, records, speedups)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -10,7 +10,20 @@ components from the just-updated H field. In 1D the two updates are::
 Cells outside those ranges lack an upwind or downwind neighbor and are frozen:
 they keep their initial values forever, which makes the grid edge behave like
 a perfect reflector. The 3D kernels apply the same pattern per axis, with
-forward differences feeding H and backward differences feeding E.
+forward differences feeding H and backward differences feeding E (every
+array and coefficient indexed at [i,j,k] unless shown otherwise)::
+
+    hx = cha*hx + chb*((ey[i,j,k+1] - ey) - (ez[i,j+1,k] - ez))    j < ny-1, k < nz-1
+    hy = cha*hy + chb*((ez[i+1,j,k] - ez) - (ex[i,j,k+1] - ex))    i < nx-1, k < nz-1
+    hz = cha*hz + chb*((ex[i,j+1,k] - ex) - (ey[i+1,j,k] - ey))    i < nx-1, j < ny-1
+    ex = cea*ex + ceb*((hz - hz[i,j-1,k]) - (hy - hy[i,j,k-1]))    j >= 1, k >= 1
+    ey = cea*ey + ceb*((hx - hx[i,j,k-1]) - (hz - hz[i-1,j,k]))    i >= 1, k >= 1
+    ez = cea*ez + ceb*((hy - hy[i-1,j,k]) - (hx - hx[i,j-1,k]))    i >= 1, j >= 1
+
+The parentheses give the evaluation order, which the bitwise oracle tests
+reproduce. Only the kernels and their dispatch in ``_advance`` know a
+state's dimensionality; everything else reads a state through
+``components()`` and writes the source into ``ez``.
 
 Loss enters through semi-implicit coefficients. With ``le = sigma*dt/(2*eps)``
 and ``lh = sigma_star*dt/(2*mu)``::
@@ -105,7 +118,6 @@ class UpdateCoefficients:
 class SnapshotSeries:
     """Field states collected during a run, in strictly increasing step order."""
 
-    config: SimulationConfig
     states: tuple[FieldState, ...]
 
     def __post_init__(self) -> None:
@@ -124,19 +136,11 @@ class SnapshotSeries:
         return self.states[-1]
 
 
-def source_value(source: SourceSpec, n: int, deltat: float, dtype: np.dtype) -> np.floating:
-    """Waveform sample for step ``n``, evaluated in double and cast to ``dtype``."""
-    return dtype.type(source.value_at(n, deltat))
-
-
 def _write_source(ez: FloatArray, source: SourceSpec, n: int, deltat: float) -> None:
-    val = source_value(source, n, deltat, ez.dtype)
-    if ez.ndim == 1:
-        target = source.location
-    elif source.plane:
-        target = (source.location[0], slice(None), slice(None))
-    else:
-        target = source.location
+    # The waveform is evaluated in double and cast once to the run's dtype.
+    val = ez.dtype.type(source.value_at(n, deltat))
+    # A point location indexes one cell in 1D and 3D alike; ez[i] is a y-z plane.
+    target = source.location[0] if source.plane else source.location
     if source.soft:
         ez[target] += val
     else:
@@ -272,7 +276,17 @@ def step(
 
     ``source=None`` advances the fields without driving them. The input state
     is left untouched; the result owns its arrays and carries step count + 1.
+    Coefficients must match the state in shape and dtype, so every cell has
+    its own factors and all arithmetic stays in the state's precision, and a
+    source must lie inside the state's grid.
     """
+    if coeff.shape != state.ez.shape or coeff.dtype != state.ez.dtype:
+        raise ValueError(
+            f"coefficients {coeff.shape} {coeff.dtype} do not match "
+            f"the state {state.ez.shape} {state.ez.dtype}"
+        )
+    if source is not None:
+        source.validate_for_extent(state.ez.shape)
     n = state.step + 1
     out = replace(state.copy(), step=n)
     with StencilExecutor(backend) as executor:
@@ -284,17 +298,15 @@ def step(
 
 
 def field_energy(state: FieldState, materials: MaterialGrid) -> float:
-    """Energy proxy: sum of eps*Ez^2 + mu*Hy^2 (1D) or over all six components (3D).
+    """Energy proxy: sum of eps*|E|^2 + mu*|H|^2 over the state's components.
 
     Not an exact discrete invariant, but monotone under loss once sources
     stop driving the grid.
     """
-    if isinstance(state, FieldState1D):
-        total = np.sum(materials.epsilon * state.ez**2) + np.sum(materials.mu * state.hy**2)
-        return float(total)
-    e_part = state.ex**2 + state.ey**2 + state.ez**2
-    h_part = state.hx**2 + state.hy**2 + state.hz**2
-    return float(np.sum(materials.epsilon * e_part) + np.sum(materials.mu * h_part))
+    fields = state.components().items()
+    e_sq = sum(arr**2 for name, arr in fields if name.startswith("e"))
+    h_sq = sum(arr**2 for name, arr in fields if name.startswith("h"))
+    return float(np.sum(materials.epsilon * e_sq) + np.sum(materials.mu * h_sq))
 
 
 def run(
@@ -320,10 +332,8 @@ def run(
             f"materials dtype {materials.dtype} != run precision {config.precision.dtype}"
         )
     coeff = UpdateCoefficients.from_materials(materials, config.deltat, config.delta)
-    if config.dims == 1:
-        state: FieldState = FieldState1D.zeros(config.extent, config.precision)
-    else:
-        state = FieldState3D.zeros(config.extent, config.precision)
+    state_cls = FieldState1D if config.dims == 1 else FieldState3D
+    state: FieldState = state_cls.zeros(config.extent, config.precision)
 
     states: list[FieldState] = []
     cadence = config.snapshot_every
@@ -335,4 +345,4 @@ def run(
     # The loop is over, so the final state can keep the live arrays.
     if not states or states[-1].step != config.time_tot:
         states.append(replace(state, step=config.time_tot))
-    return SnapshotSeries(config=config, states=tuple(states))
+    return SnapshotSeries(states=tuple(states))

@@ -125,16 +125,6 @@ def lu_solve(factorization: LuFactorization, b: FloatArray) -> FloatArray:
     return x
 
 
-def solve(
-    a: FloatArray,
-    b: FloatArray,
-    backend: Backend = _SERIAL,
-    executor: StencilExecutor | None = None,
-) -> FloatArray:
-    """Factor-and-solve convenience wrapper."""
-    return lu_solve(lu_factor(a, backend, executor), b)
-
-
 def relative_residual(a: FloatArray, x: FloatArray, b: FloatArray) -> float:
     """Scaled backward error: ||Ax - b||_inf / (||A||_inf ||x||_inf + ||b||_inf)."""
     r = a @ x - b

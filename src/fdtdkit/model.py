@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Union
+from typing import Callable, ClassVar, TypeVar, Union
 
 import numpy as np
 import numpy.typing as npt
@@ -141,8 +141,10 @@ class SourceSpec:
         phase = 2.0 * math.pi * (n - self.tstart) * deltat / self.n_lambda
         return self.amplitude * math.sin(phase)
 
-    def validate_for_extent(self, extent: int | tuple[int, int, int]) -> None:
-        """Check the source location sits strictly inside the grid interior."""
+    def validate_for_extent(self, extent: int | tuple[int, ...]) -> None:
+        """Check the location sits strictly inside a grid extent or array shape."""
+        if not isinstance(extent, int) and len(extent) == 1:
+            extent = extent[0]
         if isinstance(extent, int):
             if not isinstance(self.location, int):
                 raise ValueError("1D source location must be a single index")
@@ -299,39 +301,66 @@ class SimulationConfig:
         return int(np.prod(self.shape))
 
 
+_S = TypeVar("_S", bound="_FieldState")
+
+
+class _FieldState:
+    """Validation, copies and zero construction shared by the field states.
+
+    ``NAMES`` fixes which arrays make up a state and in what order: the order
+    of :meth:`components`, of CSV columns and of every byte comparison.
+    """
+
+    NAMES: ClassVar[tuple[str, ...]]
+    NDIM: ClassVar[int]
+
+    def __post_init__(self) -> None:
+        first = getattr(self, self.NAMES[0])
+        if first.ndim != self.NDIM:
+            raise ValueError(
+                f"{type(self).__name__} arrays must have ndim {self.NDIM}, got shape {first.shape}"
+            )
+        for name in self.NAMES[1:]:
+            arr = getattr(self, name)
+            if arr.shape != first.shape or arr.dtype != first.dtype:
+                raise ValueError(f"{name} must match {self.NAMES[0]} in shape and dtype")
+
+    @classmethod
+    def zeros(
+        cls: type[_S], extent: int | tuple[int, int, int], precision: Precision = Precision.DOUBLE
+    ) -> _S:
+        dtype = precision.dtype
+        return cls(**{name: np.zeros(extent, dtype) for name in cls.NAMES})
+
+    def copy(self: _S) -> _S:
+        return replace(self, **{name: arr.copy() for name, arr in self.components().items()})
+
+    def components(self) -> dict[str, FloatArray]:
+        return {name: getattr(self, name) for name in self.NAMES}
+
+
 @dataclass(frozen=True)
-class FieldState1D:
+class FieldState1D(_FieldState):
     """Ez/Hy field pair plus the step count that produced it."""
+
+    NAMES = ("ez", "hy")
+    NDIM = 1
 
     ez: FloatArray
     hy: FloatArray
     step: int = 0
 
-    def __post_init__(self) -> None:
-        if self.ez.shape != self.hy.shape or self.ez.ndim != 1:
-            raise ValueError("ez and hy must be 1D arrays of equal length")
-        if self.ez.dtype != self.hy.dtype:
-            raise ValueError("ez and hy must share a dtype")
-
-    @classmethod
-    def zeros(cls, extent: int, precision: Precision = Precision.DOUBLE) -> "FieldState1D":
-        dtype = precision.dtype
-        return cls(ez=np.zeros(extent, dtype), hy=np.zeros(extent, dtype))
-
-    def copy(self) -> "FieldState1D":
-        return replace(self, ez=self.ez.copy(), hy=self.hy.copy())
-
-
-_COMPONENTS_3D = ("ex", "ey", "ez", "hx", "hy", "hz")
-
 
 @dataclass(frozen=True)
-class FieldState3D:
+class FieldState3D(_FieldState):
     """All six field components on one (nx, ny, nz) grid, plus the step count.
 
     Components are stored on index-aligned arrays; the half-cell staggering
     lives in the update stencils, not in the storage.
     """
+
+    NAMES = ("ex", "ey", "ez", "hx", "hy", "hz")
+    NDIM = 3
 
     ex: FloatArray
     ey: FloatArray
@@ -340,29 +369,6 @@ class FieldState3D:
     hy: FloatArray
     hz: FloatArray
     step: int = 0
-
-    def __post_init__(self) -> None:
-        shape = self.ex.shape
-        dtype = self.ex.dtype
-        if len(shape) != 3:
-            raise ValueError(f"3D fields must have three axes, got shape {shape}")
-        for name in _COMPONENTS_3D[1:]:
-            arr = getattr(self, name)
-            if arr.shape != shape or arr.dtype != dtype:
-                raise ValueError(f"{name} must match ex in shape and dtype")
-
-    @classmethod
-    def zeros(
-        cls, extent: tuple[int, int, int], precision: Precision = Precision.DOUBLE
-    ) -> "FieldState3D":
-        dtype = precision.dtype
-        return cls(**{name: np.zeros(extent, dtype) for name in _COMPONENTS_3D})
-
-    def copy(self) -> "FieldState3D":
-        return replace(self, **{name: getattr(self, name).copy() for name in _COMPONENTS_3D})
-
-    def components(self) -> dict[str, FloatArray]:
-        return {name: getattr(self, name) for name in _COMPONENTS_3D}
 
 
 FieldState = Union[FieldState1D, FieldState3D]

@@ -18,7 +18,7 @@ from fdtdkit.cli import (
     main,
 )
 from fdtdkit.engine import SnapshotSeries, run
-from fdtdkit.model import FieldState1D, SimulationConfig, SourceSpec
+from fdtdkit.model import FieldState1D, Precision, SimulationConfig, SourceSpec
 
 
 @pytest.fixture
@@ -82,8 +82,7 @@ def test_large_grid_golden_exercises_parallel_chunking(tmp_path):
 
 
 def test_zero_state_csv_bytes():
-    cfg = SimulationConfig(extent=3, time_tot=1, source=SourceSpec(location=1))
-    series = SnapshotSeries(config=cfg, states=(FieldState1D.zeros(3),))
+    series = SnapshotSeries(states=(FieldState1D.zeros(3),))
     buf = io.StringIO()
     emit_snapshot_csv(series, buf)
     assert buf.getvalue() == "step,index,Ez,Hy\n0,0,0,0\n0,1,0,0\n0,2,0,0\n"
@@ -110,6 +109,37 @@ def test_csv_round_trips_doubles_exactly(tmp_path):
         i = int(row["index"])
         assert float(row["Ez"]) == state.ez[i]
         assert float(row["Hy"]) == state.hy[i]
+
+
+def test_simulate3d_csv_round_trips_every_component_exactly(tmp_path):
+    out = tmp_path / "box.csv"
+    assert main([
+        "simulate3d", "--nx", "7", "--ny", "6", "--nz", "5", "--steps", "9",
+        "--snapshot-every", "4", "--precision", "single", "--out", str(out),
+    ]) == 0
+    cfg = SimulationConfig(
+        extent=(7, 6, 5), time_tot=9, source=SourceSpec(location=(3, 3, 2)),
+        snapshot_every=4, precision=Precision.SINGLE,
+    )
+    series = run(cfg)
+    with open(out, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = list(reader)
+    names = list(series.final.components())
+    assert header == ["step", "i", "j", "k"] + [name.capitalize() for name in names]
+    cells = 7 * 6 * 5
+    assert len(rows) == cells * len(series.states)
+    for n, state in enumerate(series.states):
+        block = rows[n * cells : (n + 1) * cells]
+        assert [tuple(map(int, r[:4])) for r in block] == [
+            (state.step, *idx) for idx in np.ndindex(7, 6, 5)
+        ]
+        for col, (name, arr) in enumerate(state.components().items(), start=4):
+            # compared as doubles, so a float32 printed inexactly cannot round back
+            parsed = np.array([float(r[col]) for r in block])
+            assert parsed.tobytes() == arr.astype(np.float64).tobytes(), (state.step, name)
+    assert np.any(series.final.ez != 0.0)
 
 
 def test_csv_delayed_source_row(tmp_path):

@@ -9,6 +9,7 @@ from fdtdkit.backends import Backend
 from fdtdkit.engine import UpdateCoefficients, field_energy, run, step
 from fdtdkit.model import (
     FieldState1D,
+    FieldState3D,
     MaterialGrid,
     Precision,
     SimulationConfig,
@@ -263,6 +264,33 @@ def test_run_rejects_mismatched_materials():
     wrong_dtype = make_vacuum_materials(20, Precision.SINGLE, "normalized")
     with pytest.raises(ValueError):
         run(cfg, materials=wrong_dtype)
+
+
+def test_step_rejects_coefficients_that_do_not_match_the_state():
+    state = FieldState1D.zeros(5, Precision.SINGLE)
+    too_long = vacuum_coefficients(50, 0.5, precision=Precision.SINGLE)
+    too_wide = vacuum_coefficients(5, 0.5, precision=Precision.DOUBLE)
+    for coeff in (too_long, too_wide):
+        with pytest.raises(ValueError, match="do not match"):
+            step(state, coeff, None, 0.5)
+    matching = vacuum_coefficients(5, 0.5, precision=Precision.SINGLE)
+    assert step(state, matching, None, 0.5).ez.dtype == np.float32
+
+
+def test_step_rejects_a_source_that_does_not_fit_the_state():
+    coeff1 = vacuum_coefficients(8, 0.5)
+    coeff3 = UpdateCoefficients.from_materials(make_vacuum_materials((8, 8, 8)), 0.5, 1.0)
+    state1, state3 = FieldState1D.zeros(8), FieldState3D.zeros((8, 8, 8))
+    cases = [
+        (state1, coeff1, SourceSpec(location=4, plane=True)),
+        (state1, coeff1, SourceSpec(location=7)),
+        (state1, coeff1, SourceSpec(location=(4, 4, 4))),
+        # an index into a 3D array would select a whole y-z plane
+        (state3, coeff3, SourceSpec(location=4)),
+    ]
+    for state, coeff, source in cases:
+        with pytest.raises(ValueError):
+            step(state, coeff, source, 0.5)
 
 
 def test_backend_choice_does_not_change_bits():

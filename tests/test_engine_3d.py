@@ -3,15 +3,18 @@
 import numpy as np
 import pytest
 
-from fdtdkit.backends import Backend
+from fdtdkit.backends import Backend, KernelPlan
 from fdtdkit.engine import UpdateCoefficients, field_energy, run, step
 from fdtdkit.model import (
     FieldState3D,
+    MaterialGrid,
     Precision,
     SimulationConfig,
     SourceSpec,
     make_vacuum_materials,
 )
+
+from oracle_3d import reference_run_3d
 
 
 def vacuum_coefficients(shape, deltat):
@@ -168,3 +171,37 @@ def test_3d_single_precision_runs_in_dtype():
     state = run(cfg).final
     assert all(arr.dtype == np.float32 for arr in state.components().values())
     assert np.any(state.ez != 0.0)
+
+
+@pytest.mark.parametrize("precision", [Precision.SINGLE, Precision.DOUBLE])
+def test_engine_matches_oracle_on_random_lossy_grids(precision):
+    rng = np.random.default_rng(31)
+    dtype = precision.dtype
+    # small grids run as one chunk; the last one is split three ways by parallel:3
+    shapes = [tuple(int(n) for n in rng.integers(3, 9, 3)) for _ in range(5)]
+    shapes.append((24, 24, 22))
+    assert len(KernelPlan.for_range(0, 24, Backend.parallel(3), 24 * 22).chunks) == 3
+    for trial, shape in enumerate(shapes):
+        steps = 3 if trial == len(shapes) - 1 else int(rng.integers(2, 12))
+        location = tuple(int(rng.integers(1, n - 1)) for n in shape)
+        soft, plane = bool(rng.integers(2)), bool(rng.integers(2))
+        courant = float(rng.uniform(0.1, 0.57))
+        arrays = {
+            "epsilon": rng.uniform(1.0, 3.0, shape).astype(dtype),
+            "mu": rng.uniform(1.0, 3.0, shape).astype(dtype),
+            "sigma": rng.uniform(0.0, 0.1, shape).astype(dtype),
+            "sigma_star": rng.uniform(0.0, 0.1, shape).astype(dtype),
+        }
+        cfg = SimulationConfig(
+            extent=shape, time_tot=steps, courant=courant, precision=precision,
+            source=SourceSpec(location=location, n_lambda=7.0, soft=soft, plane=plane),
+        )
+        expected = reference_run_3d(
+            shape, steps, location, courant=courant, n_lambda=7.0, soft=soft,
+            plane=plane, dtype=dtype, **arrays,
+        )
+        for backend in (Backend.serial(), Backend.parallel(3)):
+            state = run(cfg, MaterialGrid(**arrays), backend).final
+            for name, arr in state.components().items():
+                assert np.array_equal(arr, expected[name]), (trial, str(backend), name)
+            assert np.any(state.ez != 0.0)
