@@ -3,12 +3,12 @@
 from .backends import (
     Backend,
     BackendResourceError,
-    InsufficientSamplesError,
     KernelPlan,
     StencilExecutor,
     execute_stencil,
 )
 from .bench import (
+    InsufficientSamplesError,
     compute_bandwidth,
     compute_speedup,
     flop_count,
@@ -39,8 +39,6 @@ from .model import (
     SimulationConfig,
     SourceSpec,
     UnstableCourantError,
-    central_difference,
-    courant_bound,
     make_vacuum_materials,
     validate_stability,
 )
@@ -64,10 +62,8 @@ __all__ = [
     "StencilExecutor",
     "UnstableCourantError",
     "UpdateCoefficients",
-    "central_difference",
     "compute_bandwidth",
     "compute_speedup",
-    "courant_bound",
     "execute_stencil",
     "field_energy",
     "flop_count",

@@ -11,6 +11,10 @@ Kernels receive a half-open range ``[lo, hi)`` over the leading axis and must
 write only cells inside it. Work units are contiguous blocks of at least
 ``MIN_CHUNK_CELLS`` cells; grids too small to split run serially whatever the
 backend says.
+
+Every kernel runs through :func:`execute_stencil` on a
+:class:`StencilExecutor` that the caller has entered; the executor only owns
+the worker pool's lifetime.
 """
 
 from __future__ import annotations
@@ -34,15 +38,6 @@ Kernel = Callable[[int, int], None]
 
 class BackendResourceError(RuntimeError):
     """Worker pool could not be created or came up unusable."""
-
-
-class InsufficientSamplesError(ValueError):
-    """Fewer timing samples than the minimum needed for a robust median."""
-
-    def __init__(self, got: int, need: int = 3):
-        self.got = got
-        self.need = need
-        super().__init__(f"need at least {need} timing samples, got {got}")
 
 
 def default_worker_count() -> int:
@@ -157,7 +152,7 @@ class StencilExecutor:
 
     Entering the context builds the pool once (parallel backends only) so a
     time-stepping loop does not pay pool construction per half-step. Exiting
-    joins and tears it down.
+    joins and tears it down. :func:`execute_stencil` runs kernels on it.
     """
 
     def __init__(self, backend: Backend):
@@ -179,37 +174,29 @@ class StencilExecutor:
             self._pool.shutdown(wait=True)
             self._pool = None
 
-    def run(self, kernel: Kernel, plan: KernelPlan) -> None:
-        """Apply ``kernel`` to every chunk of ``plan``; fork-join, no partial results.
-
-        Single-chunk plans (and serial backends, by construction) run inline.
-        Worker failures surface after all submitted chunks have settled, so a
-        raise can never leave threads still writing.
-        """
-        if len(plan.chunks) <= 1 or self._pool is None:
-            for lo, hi in plan.chunks:
-                kernel(lo, hi)
-            return
-        futures: list[Future] = [
-            self._pool.submit(kernel, lo, hi) for lo, hi in plan.chunks
-        ]
-        wait(futures)
-        for fut in futures:
-            exc = fut.exception()
-            if exc is not None:
-                raise exc
-
 
 def execute_stencil(
     kernel: Kernel,
     plan: KernelPlan,
     backend: Backend,
-    executor: StencilExecutor | None = None,
+    executor: StencilExecutor,
 ) -> None:
-    """One-shot stencil execution; builds a transient pool if none is supplied."""
-    if executor is not None:
-        executor.run(kernel, plan)
-        return
-    with StencilExecutor(backend) as ex:
-        ex.run(kernel, plan)
+    """Apply ``kernel`` to every chunk of ``plan``; fork-join, no partial results.
 
+    The one path by which any kernel runs. Single-chunk plans (and serial
+    backends, by construction) run inline on the caller's thread, as does
+    every plan on an executor without a pool. Worker failures surface after
+    all submitted chunks have settled, so a raise can never leave threads
+    still writing. ``backend`` is the one the plan was built for.
+    """
+    pool = executor._pool
+    if len(plan.chunks) <= 1 or pool is None:
+        for lo, hi in plan.chunks:
+            kernel(lo, hi)
+        return
+    futures: list[Future] = [pool.submit(kernel, lo, hi) for lo, hi in plan.chunks]
+    wait(futures)
+    for fut in futures:
+        exc = fut.exception()
+        if exc is not None:
+            raise exc

@@ -29,7 +29,7 @@ from typing import Callable, ClassVar, Sequence, Union
 
 import numpy as np
 
-from .backends import Backend, InsufficientSamplesError, StencilExecutor
+from .backends import Backend, StencilExecutor
 from .engine import run
 from .linalg import lu_factor, lu_solve, relative_residual
 from .model import Precision, SimulationConfig
@@ -52,6 +52,15 @@ class NonPositiveInputError(ValueError):
 
 class MismatchedPairError(ValueError):
     """Speedup requested for records that do not describe the same problem."""
+
+
+class InsufficientSamplesError(ValueError):
+    """Fewer timing samples than the minimum needed for a robust median."""
+
+    def __init__(self, got: int, need: int = 3):
+        self.got = got
+        self.need = need
+        super().__init__(f"need at least {need} timing samples, got {got}")
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -380,9 +389,9 @@ def run_linsolve_bench(
 
     Problems whose footprint model exceeds the memory cap produce a skip
     record with reason ``MemoryLimit`` and are never allocated. Identical
-    seeds give bitwise-identical matrices, solutions, and residuals; parallel
-    backends reproduce the serial factors exactly, so residuals match across
-    backends too.
+    seeds give bitwise-identical matrices, solutions, and residuals. Before
+    timing, every backend's factors, pivots and solution are checked
+    byte-for-byte against the first backend's; a mismatch is a hard error.
     """
     cap = default_memory_cap() if memory_cap_bytes is None else memory_cap_bytes
     records: list[SolveBenchRecord] = []
@@ -407,9 +416,18 @@ def run_linsolve_bench(
                     )
                 continue
             a, b = _solve_problem(n, precision, seed)
+            reference: bytes | None = None
             for backend in backends:
                 with StencilExecutor(backend) as ex:
-                    x = lu_solve(lu_factor(a, backend, ex), b)
+                    fac = lu_factor(a, backend, ex)
+                    x = lu_solve(fac, b)
+                    blob = fac.lu.tobytes() + fac.perm.tobytes() + x.tobytes()
+                    if reference is None:
+                        reference = blob
+                    elif blob != reference:
+                        raise AssertionError(
+                            f"backend {backend} disagrees with {backends[0]} on n={n} {precision.value}"
+                        )
                     samples = _timed_samples(
                         lambda: lu_solve(lu_factor(a, backend, ex), b), repeats
                     )

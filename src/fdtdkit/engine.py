@@ -23,7 +23,9 @@ array and coefficient indexed at [i,j,k] unless shown otherwise)::
 The parentheses give the evaluation order, which the bitwise oracle tests
 reproduce. Only the kernels and their dispatch in ``_advance`` know a
 state's dimensionality; everything else reads a state through
-``components()`` and writes the source into ``ez``.
+``components()`` and writes the source into ``ez``. Each kernel driver plans
+its range for the backend of the executor it is given and hands the kernel
+to :func:`~fdtdkit.backends.execute_stencil`, the one path that runs kernels.
 
 Loss enters through semi-implicit coefficients. With ``le = sigma*dt/(2*eps)``
 and ``lh = sigma_star*dt/(2*mu)``::
@@ -39,19 +41,23 @@ its own cell of itself; every neighbor it reads belongs to the other field,
 which stays fixed for the whole half-step. So the execution backend may split
 the index range into chunks in any order without changing a single bit of the
 output (see :mod:`fdtdkit.backends`), and no second buffer is needed. A run
-allocates its state once and copies it only to take a snapshot. All
-arithmetic stays in the run's precision; scalar factors are cast to the array
-dtype before any kernel touches them.
+allocates its state once and copies it only to take a snapshot before the
+last step; the final state keeps the live arrays. All arithmetic stays in
+the run's precision; scalar factors are cast to the array dtype before any
+kernel touches them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .backends import Backend, KernelPlan, StencilExecutor, execute_stencil
 from .model import (
+    EPS0,
+    MU0,
     FieldState,
     FieldState1D,
     FieldState3D,
@@ -59,6 +65,7 @@ from .model import (
     MaterialGrid,
     SimulationConfig,
     SourceSpec,
+    validate_stability,
 )
 
 _SERIAL = Backend.serial()
@@ -151,7 +158,7 @@ def _write_source(ez: FloatArray, source: SourceSpec, n: int, deltat: float) -> 
 
 
 def _advance_h_1d(
-    state: FieldState1D, coeff: UpdateCoefficients, backend: Backend, executor: StencilExecutor
+    state: FieldState1D, coeff: UpdateCoefficients, executor: StencilExecutor
 ) -> None:
     ez, hy = state.ez, state.hy
     cha, chb = coeff.cha, coeff.chb
@@ -159,11 +166,12 @@ def _advance_h_1d(
     def kernel(lo: int, hi: int) -> None:
         hy[lo:hi] = cha[lo:hi] * hy[lo:hi] + chb[lo:hi] * (ez[lo + 1 : hi + 1] - ez[lo:hi])
 
-    execute_stencil(kernel, KernelPlan.for_range(0, hy.shape[0] - 1, backend), backend, executor)
+    plan = KernelPlan.for_range(0, hy.shape[0] - 1, executor.backend)
+    execute_stencil(kernel, plan, executor.backend, executor)
 
 
 def _advance_e_1d(
-    state: FieldState1D, coeff: UpdateCoefficients, backend: Backend, executor: StencilExecutor
+    state: FieldState1D, coeff: UpdateCoefficients, executor: StencilExecutor
 ) -> None:
     ez, hy = state.ez, state.hy
     cea, ceb = coeff.cea, coeff.ceb
@@ -171,7 +179,8 @@ def _advance_e_1d(
     def kernel(lo: int, hi: int) -> None:
         ez[lo:hi] = cea[lo:hi] * ez[lo:hi] + ceb[lo:hi] * (hy[lo:hi] - hy[lo - 1 : hi - 1])
 
-    execute_stencil(kernel, KernelPlan.for_range(1, ez.shape[0], backend), backend, executor)
+    plan = KernelPlan.for_range(1, ez.shape[0], executor.backend)
+    execute_stencil(kernel, plan, executor.backend, executor)
 
 
 # --- 3D kernels ---------------------------------------------------------
@@ -191,7 +200,7 @@ def _slab_plan(shape: tuple[int, int, int], backend: Backend) -> KernelPlan:
 
 
 def _advance_h_3d(
-    state: FieldState3D, coeff: UpdateCoefficients, backend: Backend, executor: StencilExecutor
+    state: FieldState3D, coeff: UpdateCoefficients, executor: StencilExecutor
 ) -> None:
     ex, ey, ez = state.ex, state.ey, state.ez
     hx, hy, hz = state.hx, state.hy, state.hz
@@ -213,11 +222,11 @@ def _advance_h_3d(
             (ex[lo:hi, 1:ny, :] - ex[s]) - (ey[lo + 1 : hi + 1, : ny - 1, :] - ey[s])
         )
 
-    execute_stencil(kernel, _slab_plan(ex.shape, backend), backend, executor)
+    execute_stencil(kernel, _slab_plan(ex.shape, executor.backend), executor.backend, executor)
 
 
 def _advance_e_3d(
-    state: FieldState3D, coeff: UpdateCoefficients, backend: Backend, executor: StencilExecutor
+    state: FieldState3D, coeff: UpdateCoefficients, executor: StencilExecutor
 ) -> None:
     ex, ey, ez = state.ex, state.ey, state.ez
     hx, hy, hz = state.hx, state.hy, state.hz
@@ -239,7 +248,7 @@ def _advance_e_3d(
             (hy[s] - hy[lo - 1 : hi - 1, 1:ny, :]) - (hx[s] - hx[lo:hi, : ny - 1, :])
         )
 
-    execute_stencil(kernel, _slab_plan(ex.shape, backend), backend, executor)
+    execute_stencil(kernel, _slab_plan(ex.shape, executor.backend), executor.backend, executor)
 
 
 # --- stepping -----------------------------------------------------------
@@ -251,18 +260,17 @@ def _advance(
     source: SourceSpec | None,
     n: int,
     deltat: float,
-    backend: Backend,
     executor: StencilExecutor,
 ) -> None:
     """Advance the arrays of ``state`` to step ``n`` in place: source, H, E."""
     if source is not None:
         _write_source(state.ez, source, n, deltat)
     if isinstance(state, FieldState1D):
-        _advance_h_1d(state, coeff, backend, executor)
-        _advance_e_1d(state, coeff, backend, executor)
+        _advance_h_1d(state, coeff, executor)
+        _advance_e_1d(state, coeff, executor)
     else:
-        _advance_h_3d(state, coeff, backend, executor)
-        _advance_e_3d(state, coeff, backend, executor)
+        _advance_h_3d(state, coeff, executor)
+        _advance_e_3d(state, coeff, executor)
 
 
 def step(
@@ -290,7 +298,7 @@ def step(
     n = state.step + 1
     out = replace(state.copy(), step=n)
     with StencilExecutor(backend) as executor:
-        _advance(out, coeff, source, n, deltat, backend, executor)
+        _advance(out, coeff, source, n, deltat, executor)
     return out
 
 
@@ -320,6 +328,10 @@ def run(
     if it does not land on the cadence); ``snapshot_every = 0`` keeps only
     the final state. Each snapshot owns its arrays outright. Results are
     byte-identical across backends and worker counts.
+
+    Raises :class:`~fdtdkit.model.UnstableCourantError` when the Courant
+    number of the fastest cell, ``courant * sqrt(vacuum eps*mu / min(eps*mu))``,
+    breaks the CFL bound.
     """
     if materials is None:
         from .model import make_vacuum_materials
@@ -331,6 +343,12 @@ def run(
         raise ValueError(
             f"materials dtype {materials.dtype} != run precision {config.precision.dtype}"
         )
+    # The fastest cell has the smallest eps*mu. Vacuum's product is rounded in
+    # the run's dtype, so a vacuum grid scales the Courant number by exactly 1.
+    dtype = materials.dtype
+    vacuum = dtype.type(1) if config.units == "normalized" else dtype.type(EPS0) * dtype.type(MU0)
+    speed_sq = float(vacuum) / float((materials.epsilon * materials.mu).min())
+    validate_stability(config.dims, config.courant * math.sqrt(speed_sq))
     coeff = UpdateCoefficients.from_materials(materials, config.deltat, config.delta)
     state_cls = FieldState1D if config.dims == 1 else FieldState3D
     state: FieldState = state_cls.zeros(config.extent, config.precision)
@@ -339,10 +357,9 @@ def run(
     cadence = config.snapshot_every
     with StencilExecutor(backend) as executor:
         for n in range(1, config.time_tot + 1):
-            _advance(state, coeff, config.source, n, config.deltat, backend, executor)
-            if cadence and n % cadence == 0:
+            _advance(state, coeff, config.source, n, config.deltat, executor)
+            if cadence and n % cadence == 0 and n < config.time_tot:
                 states.append(replace(state.copy(), step=n))
-    # The loop is over, so the final state can keep the live arrays.
-    if not states or states[-1].step != config.time_tot:
-        states.append(replace(state, step=config.time_tot))
+    # The loop is over, so the final state keeps the live arrays.
+    states.append(replace(state, step=config.time_tot))
     return SnapshotSeries(states=tuple(states))

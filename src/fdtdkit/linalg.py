@@ -52,15 +52,6 @@ class LuFactorization:
     def n(self) -> int:
         return self.lu.shape[0]
 
-    def lower(self) -> FloatArray:
-        """Unit lower-triangular factor as a dense matrix."""
-        out = np.tril(self.lu, -1)
-        np.fill_diagonal(out, self.lu.dtype.type(1.0))
-        return out
-
-    def upper(self) -> FloatArray:
-        return np.triu(self.lu)
-
 
 def _as_square_float(a: FloatArray) -> FloatArray:
     a = np.asarray(a)
@@ -77,6 +68,9 @@ def lu_factor(
     executor: StencilExecutor | None = None,
 ) -> LuFactorization:
     """Factor ``a`` in its own precision; the input matrix is left untouched.
+
+    The trailing updates run on ``executor`` and are planned for its backend;
+    ``backend`` only opens a new executor when none is passed in.
 
     Raises :class:`SingularMatrixError` when a pivot column is exactly zero
     below and on the diagonal (graceful degradation stops there; near-zero
@@ -103,8 +97,8 @@ def lu_factor(
             def kernel(lo: int, hi: int) -> None:
                 a[k + 1 :, lo:hi] -= l_col[:, None] * u_row[lo:hi]
 
-            plan = KernelPlan.for_range(k + 1, n, backend, cells_per_index=n - k - 1)
-            execute_stencil(kernel, plan, backend, ex)
+            plan = KernelPlan.for_range(k + 1, n, ex.backend, cells_per_index=n - k - 1)
+            execute_stencil(kernel, plan, ex.backend, ex)
     return LuFactorization(lu=a, perm=perm)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, ClassVar, TypeVar, Union
+from typing import ClassVar, TypeVar, Union
 
 import numpy as np
 import numpy.typing as npt
@@ -75,36 +75,18 @@ class Precision(enum.Enum):
             raise ValueError(f"unknown precision {name!r}, expected 'single' or 'double'") from None
 
 
-def courant_bound(dims: int) -> float:
-    """Largest stable Courant number for a ``dims``-dimensional uniform grid."""
-    try:
-        return _COURANT_BOUNDS[dims]
-    except KeyError:
-        raise ValueError(f"dims must be 1 or 3, got {dims}") from None
-
-
 def validate_stability(dims: int, courant: float) -> None:
     """Raise :class:`UnstableCourantError` unless ``courant`` satisfies the CFL bound.
 
     The bound is 1.0 in 1D and 1/sqrt(3) in 3D. Values at the bound are
-    accepted within a relative tolerance of 1e-12.
+    accepted within a relative tolerance of 1e-12. ``courant`` is the
+    vacuum Courant number, or in a medium that of its fastest cell.
     """
-    bound = courant_bound(dims)
-    if not math.isfinite(courant) or courant <= 0.0:
+    if dims not in _COURANT_BOUNDS:
+        raise ValueError(f"dims must be 1 or 3, got {dims}")
+    bound = _COURANT_BOUNDS[dims]
+    if not 0.0 < courant <= bound * (1.0 + _COURANT_RTOL):
         raise UnstableCourantError(dims, courant, bound)
-    if courant > bound * (1.0 + _COURANT_RTOL):
-        raise UnstableCourantError(dims, courant, bound)
-
-
-def central_difference(f: Callable[[float], float], x0: float, delta: float) -> float:
-    """Half-step central difference (f(x0 + delta/2) - f(x0 - delta/2)) / delta.
-
-    Second-order accurate in ``delta`` for smooth ``f``; exact on quadratics.
-    """
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta!r}")
-    h = 0.5 * delta
-    return (f(x0 + h) - f(x0 - h)) / delta
 
 
 Location = Union[int, tuple[int, int, int]]

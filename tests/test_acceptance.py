@@ -29,7 +29,6 @@ from fdtdkit.model import (
     Precision,
     SimulationConfig,
     SourceSpec,
-    central_difference,
 )
 
 from oracle_1d import reference_run_1d
@@ -63,10 +62,19 @@ def test_c01_magic_time_step_exactness():
 
 def test_c02_central_difference_order():
     with criterion(2, "second-order convergence of the derivative stencil"):
+        # One step with identity E factors and chb = 1/delta leaves the engine's
+        # own H stencil in hy: hy[i] = (ez[i+1] - ez[i]) / delta, the derivative
+        # of ez = sin(x) at the half cell x[i] + delta/2.
         deltas = np.array([0.1, 0.05, 0.025, 0.0125])
-        errors = np.array([
-            abs(central_difference(math.sin, 1.0, d) - math.cos(1.0)) for d in deltas
-        ])
+        errors = []
+        for d in deltas:
+            x = d * np.arange(round(2.0 / d) + 1)
+            n = x.shape[0]
+            coeff = UpdateCoefficients(
+                cea=np.ones(n), ceb=np.zeros(n), cha=np.ones(n), chb=np.full(n, 1.0 / d)
+            )
+            out = step(FieldState1D(ez=np.sin(x), hy=np.zeros(n)), coeff, None, d)
+            errors.append(np.abs(out.hy[:-1] - np.cos(x[:-1] + d / 2)).max())
         slope = np.polyfit(np.log(deltas), np.log(errors), 1)[0]
         assert abs(slope - 2.0) <= 0.1, f"slope {slope:.4f}"
 

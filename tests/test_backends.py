@@ -84,7 +84,8 @@ def test_kernel_coverage_exact_no_overlap():
             counts[lo:hi] += 1
 
         plan = KernelPlan.for_range(5, counts.shape[0] - 2, backend)
-        execute_stencil(kernel, plan, backend)
+        with StencilExecutor(backend) as ex:
+            execute_stencil(kernel, plan, backend, ex)
         assert np.all(counts[5 : counts.shape[0] - 2] == 1)
         assert np.all(counts[:5] == 0) and np.all(counts[-2:] == 0)
 
@@ -106,7 +107,8 @@ def test_stencil_bitwise_across_workers():
         def kernel(lo, hi):
             out[lo:hi] = coeff[lo:hi] * src[lo:hi] + (src[lo:hi] - coeff[lo:hi])
 
-        execute_stencil(kernel, KernelPlan.for_range(0, src.shape[0], backend), backend)
+        with StencilExecutor(backend) as ex:
+            execute_stencil(kernel, KernelPlan.for_range(0, src.shape[0], backend), backend, ex)
         results.append(out.copy())
     for other in results[1:]:
         assert np.array_equal(results[0], other)
@@ -120,12 +122,12 @@ def test_executor_reuse_and_worker_exceptions():
         def fill(lo, hi):
             out[lo:hi] = 1.0
 
-        ex.run(fill, KernelPlan.for_range(0, out.shape[0], backend))
+        execute_stencil(fill, KernelPlan.for_range(0, out.shape[0], backend), backend, ex)
         assert np.all(out == 1.0)
 
         def boom(lo, hi):
             raise RuntimeError("kernel failure")
 
         with pytest.raises(RuntimeError, match="kernel failure"):
-            ex.run(boom, KernelPlan.for_range(0, out.shape[0], backend))
+            execute_stencil(boom, KernelPlan.for_range(0, out.shape[0], backend), backend, ex)
 

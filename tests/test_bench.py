@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import fdtdkit.bench as bench
-from fdtdkit.backends import Backend, InsufficientSamplesError
+from fdtdkit.backends import Backend
 from fdtdkit.bench import (
     BandwidthRecord,
+    InsufficientSamplesError,
     MismatchedPairError,
     NonPositiveInputError,
     SolveBenchRecord,
@@ -121,6 +122,24 @@ def test_linsolve_residual_identical_across_backends(fast_timing):
         backends=[Backend.serial(), Backend.parallel(2)], seed=2,
     )
     assert records[0].residual == records[1].residual
+
+
+def test_linsolve_bench_rejects_a_backend_that_disagrees(fast_timing, monkeypatch):
+    # one ulp in one factor entry, on parallel backends only, is a wrong answer
+    exact_lu_factor = bench.lu_factor
+
+    def off_by_one_ulp(a, backend, executor):
+        fac = exact_lu_factor(a, backend, executor)
+        if backend.is_parallel:
+            fac.lu[0, 0] = np.nextafter(fac.lu[0, 0], np.inf)
+        return fac
+
+    monkeypatch.setattr(bench, "lu_factor", off_by_one_ulp)
+    with pytest.raises(AssertionError, match="parallel:2 disagrees with serial"):
+        run_linsolve_bench(
+            [20], precisions=[Precision.DOUBLE],
+            backends=[Backend.serial(), Backend.parallel(2)], seed=2,
+        )
 
 
 def _record(n=256, precision=Precision.DOUBLE, backend=None, gigaflops=10.0):

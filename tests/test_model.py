@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fdtdkit.engine import run
 from fdtdkit.model import (
     C0,
     EPS0,
@@ -14,36 +15,20 @@ from fdtdkit.model import (
     SimulationConfig,
     SourceSpec,
     UnstableCourantError,
-    central_difference,
-    courant_bound,
     make_vacuum_materials,
     validate_stability,
 )
 
 
-def test_central_difference_quadratic():
-    # centered stencil is exact for polynomials up to degree 2, modulo rounding
-    approx = central_difference(lambda x: x * x, 1.0, 0.1)
-    assert approx == pytest.approx(2.0, rel=1e-12)
-
-
-def test_central_difference_cubic():
-    approx = central_difference(lambda x: x**3, 1.0, 0.2)
-    assert approx == pytest.approx(3.01, rel=1e-12)
-
-
-def test_central_difference_rejects_bad_delta():
-    with pytest.raises(ValueError):
-        central_difference(math.sin, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        central_difference(math.sin, 0.0, -0.1)
-
-
 def test_courant_bounds():
-    assert courant_bound(1) == 1.0
-    assert courant_bound(3) == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-15)
+    with pytest.raises(UnstableCourantError) as err:
+        validate_stability(1, 2.0)
+    assert err.value.bound == 1.0
+    with pytest.raises(UnstableCourantError) as err:
+        validate_stability(3, 2.0)
+    assert err.value.bound == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-15)
     with pytest.raises(ValueError):
-        courant_bound(2)
+        validate_stability(2, 0.5)
 
 
 @pytest.mark.parametrize("dims,courant", [(1, 0.5), (1, 1.0), (3, 0.5), (3, 1.0 / math.sqrt(3.0))])
@@ -110,6 +95,43 @@ def test_config_rejects_unstable_courant():
         SimulationConfig(extent=200, time_tot=1, source=SourceSpec(location=100), courant=1.5)
     with pytest.raises(UnstableCourantError):
         SimulationConfig(extent=(8, 8, 8), time_tot=1, source=SourceSpec(location=(4, 4, 4)), courant=0.6)
+
+
+@pytest.mark.parametrize(
+    "extent,location,courant,steps",
+    [(100, 50, 1.0, 300), ((12, 12, 12), (6, 6, 6), 0.5, 200)],
+    ids=["1d", "3d"],
+)
+def test_run_rejects_a_medium_faster_than_the_courant_bound(extent, location, courant, steps):
+    # epsilon = 0.25 doubles the wave speed. Unchecked, the 1D run ends with
+    # NaN in Ez and the 3D run with |Ez| near 1e192.
+    cfg = SimulationConfig(
+        extent=extent, time_tot=steps, source=SourceSpec(location=location), courant=courant
+    )
+    shape = cfg.shape
+    fast = MaterialGrid(
+        epsilon=np.full(shape, 0.25), mu=np.ones(shape),
+        sigma=np.zeros(shape), sigma_star=np.zeros(shape),
+    )
+    with pytest.raises(UnstableCourantError) as err:
+        run(cfg, fast)
+    assert err.value.courant == 2.0 * courant
+
+
+@pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.value)
+@pytest.mark.parametrize("units", ["normalized", "physical"])
+@pytest.mark.parametrize("extent,location", [(40, 20), ((8, 8, 8), (4, 4, 4))], ids=["1d", "3d"])
+def test_vacuum_at_the_courant_bound_still_runs(extent, location, units, precision):
+    # eps0*mu0*c0**2 is not 1 in floating point; the fastest-cell rule must
+    # still accept vacuum at exactly the bound in either unit system
+    dims = 1 if isinstance(extent, int) else 3
+    cfg = SimulationConfig(
+        extent=extent, time_tot=20, source=SourceSpec(location=location),
+        delta=1e-3 if units == "physical" else 1.0, courant=1.0 / math.sqrt(dims),
+        precision=precision, units=units,
+    )
+    final = run(cfg).final
+    assert all(np.isfinite(arr).all() for arr in final.components().values())
 
 
 def test_config_rejects_tiny_grids():
