@@ -35,6 +35,7 @@ from .model import (
     FieldState1D,
     FieldState3D,
     MaterialGrid,
+    NonFiniteFieldError,
     Precision,
     SimulationConfig,
     SourceSpec,
@@ -54,6 +55,7 @@ __all__ = [
     "KernelPlan",
     "LuFactorization",
     "MaterialGrid",
+    "NonFiniteFieldError",
     "Precision",
     "SimulationConfig",
     "SingularMatrixError",

@@ -459,8 +459,8 @@ def run_fdtd_bench(
     configs: Sequence[SimulationConfig],
     backends: Sequence[Backend] = (Backend.serial(),),
     repeats: int = 3,
-) -> tuple[list[FdtdBenchRecord], list[SpeedupRecord]]:
-    """Time full runs per backend and pair parallel rates against serial.
+) -> list[FdtdBenchRecord]:
+    """Time full runs per backend; :func:`pair_speedups` pairs the rates.
 
     Before timing, every backend's final snapshot is checked byte-for-byte
     against the first backend's; a mismatch is a hard error because a fast
@@ -489,4 +489,4 @@ def run_fdtd_bench(
                 updates_per_s=fdtd_cell_updates(config) / elapsed,
             )
             records.append(rec)
-    return records, pair_speedups(records)
+    return records

@@ -1,9 +1,10 @@
 """Command-line front end: field runs to CSV, benchmark sweeps to JSON lines.
 
 Exit codes are a contract for scripts: 0 on success, 1 on runtime or I/O
-failure, 2 on a usage error (unknown flag, unparsable value, or a parameter
-combination the model rejects, such as a Courant number past the stability
-bound). Unknown flags are always hard errors.
+failure (including a run whose fields go non-finite), 2 on a usage error
+(unknown flag, unparsable value, or a parameter combination the model
+rejects, such as a Courant number past the stability bound). Unknown flags
+are always hard errors.
 
 Output determinism: with the same flags and seed, CSV output is
 byte-identical across invocations and across backends. Benchmark JSON
@@ -19,6 +20,8 @@ import sys
 from contextlib import contextmanager
 from typing import Iterator, Sequence, TextIO
 
+import numpy as np
+
 from .backends import Backend, BackendResourceError
 from .bench import (
     BandwidthRecord,
@@ -31,16 +34,11 @@ from .bench import (
     speedup_summary,
 )
 from .engine import SnapshotSeries, run
-from .model import FieldState3D, Location, Precision, SimulationConfig, SourceSpec
+from .model import Location, NonFiniteFieldError, Precision, SimulationConfig, SourceSpec
 
-_CSV_HEADER_1D = "step,index,Ez,Hy"
-_CSV_HEADER_3D = "step,i,j,k,Ex,Ey,Ez,Hx,Hy,Hz"
-
-
-def _fmt(value: float) -> str:
-    # 17 significant digits: the shortest fixed precision that round-trips
-    # every double exactly.
-    return format(float(value), ".17g")
+# Rows formatted per write, so the writer's memory does not grow with the grid.
+_CSV_BLOCK_ROWS = 1024
+_CSV_INDEX_COLUMNS = {1: "index", 3: "i,j,k"}
 
 
 @contextmanager
@@ -55,31 +53,29 @@ def _open_out(path: str) -> Iterator[TextIO]:
 def emit_snapshot_csv(series: SnapshotSeries, fh: TextIO) -> None:
     """Write a snapshot series as CSV, rows ordered by (step, cell index).
 
-    1D rows are ``step,index,Ez,Hy``; 3D rows are
-    ``step,i,j,k,Ex,Ey,Ez,Hx,Hy,Hz`` with i outermost. Floats are printed
-    with 17 significant digits so parsing the file reproduces the arrays
-    bit for bit.
+    One path serves every state: the header is ``step``, the index columns
+    (``index``, or ``i,j,k`` with i outermost) and the capitalized ``NAMES``.
+    Floats are printed with 17 significant digits so parsing the file
+    reproduces the arrays bit for bit.
     """
     first = series.states[0]
-    if isinstance(first, FieldState3D):
-        fh.write(_CSV_HEADER_3D + "\n")
-        for state in series.states:
-            arrays = list(state.components().values())
-            nx, ny, nz = arrays[0].shape
-            for i in range(nx):
-                for j in range(ny):
-                    for k in range(nz):
-                        values = ",".join(_fmt(a[i, j, k]) for a in arrays)
-                        fh.write(f"{state.step},{i},{j},{k},{values}\n")
-    else:
-        fh.write(_CSV_HEADER_1D + "\n")
-        for state in series.states:
-            for i in range(state.ez.shape[0]):
-                fh.write(f"{state.step},{i},{_fmt(state.ez[i])},{_fmt(state.hy[i])}\n")
+    names = ",".join(name.capitalize() for name in first.NAMES)
+    fh.write(f"step,{_CSV_INDEX_COLUMNS[first.NDIM]},{names}\n")
+    for state in series.states:
+        arrays = [arr.reshape(-1) for arr in state.components().values()]
+        # 17 significant digits: the shortest fixed precision that round-trips
+        # every double exactly.
+        row = f"{state.step}," + "%d," * state.NDIM + ",".join(["%.17g"] * len(arrays)) + "\n"
+        cells = arrays[0].size
+        for lo in range(0, cells, _CSV_BLOCK_ROWS):
+            hi = min(lo + _CSV_BLOCK_ROWS, cells)
+            columns = [idx.tolist() for idx in np.unravel_index(np.arange(lo, hi), state.ez.shape)]
+            columns += [arr[lo:hi].tolist() for arr in arrays]
+            fh.write("".join(map(row.__mod__, zip(*columns))))
 
 
 def emit_bench_json(
-    records: Sequence[object],
+    records: Sequence[BandwidthRecord | RateRecord],
     speedups: Sequence[SpeedupRecord],
     fh: TextIO,
     include_timing: bool = True,
@@ -283,8 +279,8 @@ def cmd_bench_fdtd(args: argparse.Namespace) -> int:
         )
         for xdim in args.sizes
     ]
-    records, speedups = run_fdtd_bench(configs, backends=args.backends, repeats=args.repeats)
-    return _emit_rate_bench(args, records, speedups)
+    records = run_fdtd_bench(configs, backends=args.backends, repeats=args.repeats)
+    return _emit_rate_bench(args, records, pair_speedups(records))
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -302,6 +298,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         # extents, negative sizes) are usage errors.
         print(f"fdtdkit: error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, MemoryError, BackendResourceError) as exc:
+    except (OSError, MemoryError, BackendResourceError, NonFiniteFieldError) as exc:
         print(f"fdtdkit: error: {exc}", file=sys.stderr)
         return 1

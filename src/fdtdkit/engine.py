@@ -63,6 +63,7 @@ from .model import (
     FieldState3D,
     FloatArray,
     MaterialGrid,
+    NonFiniteFieldError,
     SimulationConfig,
     SourceSpec,
     validate_stability,
@@ -317,6 +318,15 @@ def field_energy(state: FieldState, materials: MaterialGrid) -> float:
     return float(np.sum(materials.epsilon * e_sq) + np.sum(materials.mu * h_sq))
 
 
+def _checked(state: FieldState) -> FieldState:
+    """Return ``state``, or raise :class:`NonFiniteFieldError` on its first bad component."""
+    for name, arr in state.components().items():
+        # min and max propagate NaN, so the two bound every cell
+        if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+            raise NonFiniteFieldError(state.step, name)
+    return state
+
+
 def run(
     config: SimulationConfig,
     materials: MaterialGrid | None = None,
@@ -331,7 +341,9 @@ def run(
 
     Raises :class:`~fdtdkit.model.UnstableCourantError` when the Courant
     number of the fastest cell, ``courant * sqrt(vacuum eps*mu / min(eps*mu))``,
-    breaks the CFL bound.
+    breaks the CFL bound, and :class:`~fdtdkit.model.NonFiniteFieldError`
+    as soon as a snapshot or the final state holds NaN or Inf. Only those
+    states are checked, not every step.
     """
     if materials is None:
         from .model import make_vacuum_materials
@@ -359,7 +371,7 @@ def run(
         for n in range(1, config.time_tot + 1):
             _advance(state, coeff, config.source, n, config.deltat, executor)
             if cadence and n % cadence == 0 and n < config.time_tot:
-                states.append(replace(state.copy(), step=n))
+                states.append(_checked(replace(state.copy(), step=n)))
     # The loop is over, so the final state keeps the live arrays.
-    states.append(replace(state, step=config.time_tot))
+    states.append(_checked(replace(state, step=config.time_tot)))
     return SnapshotSeries(states=tuple(states))

@@ -52,6 +52,15 @@ class UnstableCourantError(ValueError):
         )
 
 
+class NonFiniteFieldError(ArithmeticError):
+    """A snapshot or the final state of a run holds NaN or Inf in one component."""
+
+    def __init__(self, step: int, component: str):
+        self.step = step
+        self.component = component
+        super().__init__(f"{component} holds NaN or Inf at step {step}")
+
+
 class Precision(enum.Enum):
     """Floating-point width used end to end by a run or benchmark."""
 

@@ -17,6 +17,7 @@ from fdtdkit.bench import (
     fdtd_cell_updates,
     flop_count,
     measure_copy_bandwidth,
+    pair_speedups,
     run_fdtd_bench,
     run_linsolve_bench,
 )
@@ -183,13 +184,11 @@ def test_fdtd_cell_updates_formula():
 
 def test_fdtd_bench_records_and_pairing(fast_timing):
     cfg = SimulationConfig(extent=64, time_tot=4, source=SourceSpec(location=32))
-    records, speedups = run_fdtd_bench(
-        [cfg], backends=[Backend.serial(), Backend.parallel(2)], repeats=3
-    )
+    records = run_fdtd_bench([cfg], backends=[Backend.serial(), Backend.parallel(2)], repeats=3)
     assert [str(r.backend) for r in records] == ["serial", "parallel:2"]
     for rec in records:
         assert rec.updates_per_s == fdtd_cell_updates(cfg) / rec.elapsed_s
-    (sp,) = speedups
+    (sp,) = pair_speedups(records)
     assert sp.key() == "fdtd:64:double:parallel:2"
     assert sp.speedup == records[1].updates_per_s / records[0].updates_per_s
 

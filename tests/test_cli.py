@@ -1,6 +1,7 @@
 """Command-line surface: flags, exit codes, golden output, format round-trips."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -18,7 +19,7 @@ from fdtdkit.cli import (
     main,
 )
 from fdtdkit.engine import SnapshotSeries, run
-from fdtdkit.model import FieldState1D, Precision, SimulationConfig, SourceSpec
+from fdtdkit.model import FieldState1D, FieldState3D, Precision, SimulationConfig, SourceSpec
 
 
 @pytest.fixture
@@ -63,6 +64,26 @@ def test_unwritable_output_is_exit_1(tmp_path):
     assert code == 1
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--xdim", "50", "--steps", "100", "--amplitude", "1e308"],
+        ["simulate", "--xdim", "50", "--steps", "100", "--amplitude", "1e308", "--soft-source"],
+        [
+            "simulate3d", "--nx", "8", "--ny", "8", "--nz", "8", "--steps", "40",
+            "--amplitude", "1e38", "--precision", "single", "--soft-source",
+        ],
+    ],
+    ids=["1d-hard", "1d-soft", "3d-single-soft"],
+)
+def test_non_finite_fields_are_exit_1_and_write_no_csv(argv, tmp_path, capsys):
+    out = tmp_path / "blown.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert not out.exists()
+    assert "NaN or Inf at step" in capsys.readouterr().err
+
+
 def test_default_run_golden_across_invocations_and_backends(tmp_path):
     paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
     assert main(["simulate", "--out", str(paths[0])]) == 0
@@ -86,6 +107,64 @@ def test_zero_state_csv_bytes():
     buf = io.StringIO()
     emit_snapshot_csv(series, buf)
     assert buf.getvalue() == "step,index,Ez,Hy\n0,0,0,0\n0,1,0,0\n0,2,0,0\n"
+
+
+def _bit_pattern_values(count, dtype, seed):
+    """``count`` values of ``dtype`` from raw bits, special values first.
+
+    The bits come from a 64-bit LCG, so neither libm nor NumPy's RNG stream
+    can change them between machines; every exponent is reachable.
+    """
+    if dtype == np.float64:
+        uint, info = np.uint64, np.finfo(np.float64)
+        specials = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                    2.2250738585072009e-308, float(info.tiny), float(info.max), -float(info.max)]
+    else:
+        uint, info = np.uint32, np.finfo(np.float32)
+        specials = [math.nan, math.inf, -math.inf, 0.0, -0.0,
+                    float(np.float32(1.4e-45)), float(-np.float32(1.4e-45)),
+                    float(info.tiny), float(info.max), -float(info.max), float(info.eps)]
+    bits, x = [], seed
+    for _ in range(count - len(specials)):
+        x = (6364136223846793005 * x + 1442695040888963407) % 2**64
+        bits.append(x >> (64 - 8 * np.dtype(uint).itemsize))
+    drawn = np.array(bits, dtype=uint).view(dtype)
+    # NaN and inf are among the specials; a drawn NaN pattern could signal on a cast.
+    drawn = np.where(np.isfinite(drawn), drawn, dtype(1.5))
+    return np.concatenate([np.array(specials, dtype=dtype), drawn])
+
+
+def _bit_pattern_series(state_cls, extent, dtype):
+    cells = int(np.prod(extent))
+    states = []
+    for n, step in enumerate((3, 17)):
+        arrays = {
+            name: _bit_pattern_values(cells, dtype, seed=100 * n + c).reshape(extent)
+            for c, name in enumerate(state_cls.NAMES)
+        }
+        states.append(state_cls(**arrays, step=step))
+    return SnapshotSeries(states=tuple(states))
+
+
+@pytest.mark.parametrize(
+    "state_cls, extent, dtype, digest",
+    [
+        (FieldState1D, 64, np.float64,
+         "fb809f01a9122190a356837a9340732c950e004ee97d37a28ec0fb80b4f9d275"),
+        (FieldState3D, (3, 4, 5), np.float32,
+         "33304074e99d7e74d008e5b6107d39f7a7659db2ef90e0624fffc5d31662fc66"),
+        # 2431 rows per state: crosses row-block boundaries mid-state
+        (FieldState3D, (11, 13, 17), np.float32,
+         "053a768cdd643c0a5763dd4cfdc50019dea7c001b15bfce20c4baa440cbdd52d"),
+    ],
+    ids=["1d-double", "3d-single", "3d-single-many-rows"],
+)
+def test_csv_bytes_match_stored_digests(state_cls, extent, dtype, digest):
+    # Stored digests pin the bytes themselves; the goldens above only
+    # compare two runs of the same code.
+    buf = io.StringIO()
+    emit_snapshot_csv(_bit_pattern_series(state_cls, extent, dtype), buf)
+    assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == digest
 
 
 def test_csv_round_trips_doubles_exactly(tmp_path):

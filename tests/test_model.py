@@ -11,6 +11,7 @@ from fdtdkit.model import (
     EPS0,
     MU0,
     MaterialGrid,
+    NonFiniteFieldError,
     Precision,
     SimulationConfig,
     SourceSpec,
@@ -132,6 +133,41 @@ def test_vacuum_at_the_courant_bound_still_runs(extent, location, units, precisi
     )
     final = run(cfg).final
     assert all(np.isfinite(arr).all() for arr in final.components().values())
+
+
+# Each of these runs overflows to Inf and NaN within the step count; the
+# kernels' overflow warnings are the point, not a fault.
+_OVERFLOWING_RUNS = {
+    "1d-hard": dict(extent=50, time_tot=100, source=SourceSpec(location=25, amplitude=1e308)),
+    "1d-soft": dict(
+        extent=50, time_tot=100, source=SourceSpec(location=25, amplitude=1e308, soft=True)
+    ),
+    "3d-single-soft": dict(
+        extent=(8, 8, 8), time_tot=40, precision=Precision.SINGLE,
+        source=SourceSpec(location=(4, 4, 4), amplitude=1e38, soft=True),
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", list(_OVERFLOWING_RUNS))
+def test_run_stops_on_a_non_finite_final_state(name):
+    cfg = SimulationConfig(**_OVERFLOWING_RUNS[name])
+    with pytest.raises(NonFiniteFieldError) as err:
+        run(cfg)
+    assert err.value.step == cfg.time_tot
+    assert err.value.component == ("ez" if cfg.dims == 1 else "ex")
+    assert isinstance(err.value, ArithmeticError)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", ["1d-hard", "3d-single-soft"])
+def test_run_stops_at_the_first_non_finite_snapshot(name):
+    cfg = SimulationConfig(**_OVERFLOWING_RUNS[name], snapshot_every=10)
+    with pytest.raises(NonFiniteFieldError) as err:
+        run(cfg)
+    assert err.value.step % 10 == 0 and err.value.step < cfg.time_tot
+    assert err.value.component in ("ez", "ex")
 
 
 def test_config_rejects_tiny_grids():
