@@ -44,7 +44,10 @@ def default_worker_count() -> int:
     """Worker count for a bare `parallel` backend: env override, else CPU count."""
     env = os.environ.get(WORKERS_ENV_VAR)
     if env is not None:
-        count = int(env)
+        try:
+            count = int(env)
+        except ValueError:
+            raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
         if count < 1:
             raise ValueError(f"{WORKERS_ENV_VAR} must be >= 1, got {env!r}")
         return count

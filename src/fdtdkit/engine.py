@@ -2,16 +2,9 @@
 
 One full step advances the state in a fixed order: write the source value
 into Ez, update all H components from the current E field, then update all E
-components from the just-updated H field. In 1D the two updates are::
-
-    hy[i] = cha[i]*hy[i] + chb[i]*(ez[i+1] - ez[i])    for i in [0, xdim-1)
-    ez[i] = cea[i]*ez[i] + ceb[i]*(hy[i] - hy[i-1])    for i in [1, xdim)
-
-Cells outside those ranges lack an upwind or downwind neighbor and are frozen:
-they keep their initial values forever, which makes the grid edge behave like
-a perfect reflector. The 3D kernels apply the same pattern per axis, with
-forward differences feeding H and backward differences feeding E (every
-array and coefficient indexed at [i,j,k] unless shown otherwise)::
+components from the just-updated H field. Forward differences of E feed H
+and backward differences of H feed E (every array and coefficient indexed at
+[i,j,k] unless shown otherwise)::
 
     hx = cha*hx + chb*((ey[i,j,k+1] - ey) - (ez[i,j+1,k] - ez))    j < ny-1, k < nz-1
     hy = cha*hy + chb*((ez[i+1,j,k] - ez) - (ex[i,j,k+1] - ex))    i < nx-1, k < nz-1
@@ -20,12 +13,22 @@ array and coefficient indexed at [i,j,k] unless shown otherwise)::
     ey = cea*ey + ceb*((hx - hx[i,j,k-1]) - (hz - hz[i-1,j,k]))    i >= 1, k >= 1
     ez = cea*ez + ceb*((hy - hy[i-1,j,k]) - (hx - hx[i,j-1,k]))    i >= 1, j >= 1
 
+Cells outside those ranges lack an upwind or downwind neighbor and are frozen:
+they keep their initial values forever, which makes the grid edge behave like
+a perfect reflector. 1D is the TM reduction of the same curl: a 1D state
+holds only ez and hy along x, so each keeps the one term whose neighbor it
+has::
+
+    hy[i] = cha[i]*hy[i] + chb[i]*(ez[i+1] - ez[i])    for i in [0, xdim-1)
+    ez[i] = cea[i]*ez[i] + ceb[i]*(hy[i] - hy[i-1])    for i in [1, xdim)
+
 The parentheses give the evaluation order, which the bitwise oracle tests
-reproduce. Only the kernels and their dispatch in ``_advance`` know a
-state's dimensionality; everything else reads a state through
-``components()`` and writes the source into ``ez``. Each kernel driver plans
-its range for the backend of the executor it is given and hands the kernel
-to :func:`~fdtdkit.backends.execute_stencil`, the one path that runs kernels.
+reproduce. The ``_CURL`` table is the one place that encodes this curl; one
+H driver and one E driver read it for every state, so only ``run()``'s
+choice of state class knows a state's dimensionality. A run plans the
+leading axis once for its executor's backend and builds the two kernels
+once; every step hands both to :func:`~fdtdkit.backends.execute_stencil`,
+the one path that runs kernels.
 
 Loss enters through semi-implicit coefficients. With ``le = sigma*dt/(2*eps)``
 and ``lh = sigma_star*dt/(2*mu)``::
@@ -51,10 +54,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
-from .backends import Backend, KernelPlan, StencilExecutor, execute_stencil
+from .backends import Backend, Kernel, KernelPlan, StencilExecutor, execute_stencil
 from .model import (
     EPS0,
     MU0,
@@ -155,123 +159,114 @@ def _write_source(ez: FloatArray, source: SourceSpec, n: int, deltat: float) -> 
         ez[target] = val
 
 
-# --- 1D kernels ---------------------------------------------------------
+# --- the Yee curl -------------------------------------------------------
+#
+# One row per component: its two curl terms as (neighbour, axis), the first
+# added and the second subtracted, in the order of the formulas above. H takes
+# forward differences of E, E backward differences of H.
+
+_CURL = {
+    "hx": (("ey", 2), ("ez", 1)),
+    "hy": (("ez", 0), ("ex", 2)),
+    "hz": (("ex", 1), ("ey", 0)),
+    "ex": (("hz", 1), ("hy", 2)),
+    "ey": (("hx", 2), ("hz", 0)),
+    "ez": (("hy", 0), ("hx", 1)),
+}
 
 
-def _advance_h_1d(
-    state: FieldState1D, coeff: UpdateCoefficients, executor: StencilExecutor
-) -> None:
-    ez, hy = state.ez, state.hy
+def _curl_rows(state: FieldState, field: str, lo: int, hi: int) -> list[tuple]:
+    """Chunk ``[lo, hi)`` of each ``field`` ("h" or "e") component that ``state``
+    holds, with the curl terms whose neighbour it holds too.
+
+    A row is ``(f, s, terms)``: the component, the slices of the cells it
+    updates, and per term the neighbour with the same cells shifted one step
+    along the term's axis, forward for H and backward for E. Only cells whose
+    shifted neighbour exists along every such axis update; the others stay
+    frozen, so H loses its high face and E its low face along those axes.
+    """
+    d = 1 if field == "h" else -1
+    arrays = state.components()
+    rows = []
+    for name, curl in _CURL.items():
+        if name[0] != field or name not in arrays:
+            continue
+        f = arrays[name]
+        terms = [(arrays[g], axis) for g, axis in curl if g in arrays]
+        bounds = [(lo, hi), *((0, n) for n in f.shape[1:])]
+        for _, a in terms:
+            start, stop = bounds[a]
+            bounds[a] = (max(start, -d), min(stop, f.shape[a] - d))
+        s = tuple(slice(*b) for b in bounds)
+        shifted = [
+            (g, s[:a] + (slice(bounds[a][0] + d, bounds[a][1] + d),) + s[a + 1 :])
+            for g, a in terms
+        ]
+        rows.append((f, s, shifted))
+    return rows
+
+
+def _advance_h(state: FieldState, coeff: UpdateCoefficients, plan: KernelPlan) -> Kernel:
+    """The H half-step of ``state`` over the chunks of ``plan``, as one kernel."""
     cha, chb = coeff.cha, coeff.chb
+    chunks = {(lo, hi): _curl_rows(state, "h", lo, hi) for lo, hi in plan.chunks}
 
     def kernel(lo: int, hi: int) -> None:
-        hy[lo:hi] = cha[lo:hi] * hy[lo:hi] + chb[lo:hi] * (ez[lo + 1 : hi + 1] - ez[lo:hi])
+        for f, s, ((g1, t1), *second) in chunks[lo, hi]:
+            if second:
+                ((g2, t2),) = second
+                f[s] = cha[s] * f[s] + chb[s] * ((g1[t1] - g1[s]) - (g2[t2] - g2[s]))
+            else:
+                f[s] = cha[s] * f[s] + chb[s] * (g1[t1] - g1[s])
 
-    plan = KernelPlan.for_range(0, hy.shape[0] - 1, executor.backend)
-    execute_stencil(kernel, plan, executor.backend, executor)
+    return kernel
 
 
-def _advance_e_1d(
-    state: FieldState1D, coeff: UpdateCoefficients, executor: StencilExecutor
-) -> None:
-    ez, hy = state.ez, state.hy
+def _advance_e(state: FieldState, coeff: UpdateCoefficients, plan: KernelPlan) -> Kernel:
+    """The E half-step of ``state`` over the chunks of ``plan``, as one kernel."""
     cea, ceb = coeff.cea, coeff.ceb
+    chunks = {(lo, hi): _curl_rows(state, "e", lo, hi) for lo, hi in plan.chunks}
 
     def kernel(lo: int, hi: int) -> None:
-        ez[lo:hi] = cea[lo:hi] * ez[lo:hi] + ceb[lo:hi] * (hy[lo:hi] - hy[lo - 1 : hi - 1])
+        for f, s, ((g1, t1), *second) in chunks[lo, hi]:
+            if second:
+                ((g2, t2),) = second
+                f[s] = cea[s] * f[s] + ceb[s] * ((g1[s] - g1[t1]) - (g2[s] - g2[t2]))
+            else:
+                f[s] = cea[s] * f[s] + ceb[s] * (g1[s] - g1[t1])
 
-    plan = KernelPlan.for_range(1, ez.shape[0], executor.backend)
-    execute_stencil(kernel, plan, executor.backend, executor)
-
-
-# --- 3D kernels ---------------------------------------------------------
-#
-# Index-aligned storage; each component updates only where both of its
-# difference neighbors exist, the rest stays frozen:
-#
-#   hx: j,k trimmed high   hy: i,k trimmed high   hz: i,j trimmed high
-#   ex: j,k trimmed low    ey: i,k trimmed low    ez: i,j trimmed low
-#
-# One plan over all x slabs drives the three components of a field; the
-# components trimmed along x clip their share of each chunk.
-
-
-def _slab_plan(shape: tuple[int, int, int], backend: Backend) -> KernelPlan:
-    return KernelPlan.for_range(0, shape[0], backend, cells_per_index=shape[1] * shape[2])
-
-
-def _advance_h_3d(
-    state: FieldState3D, coeff: UpdateCoefficients, executor: StencilExecutor
-) -> None:
-    ex, ey, ez = state.ex, state.ey, state.ez
-    hx, hy, hz = state.hx, state.hy, state.hz
-    nx, ny, nz = ex.shape
-    cha, chb = coeff.cha, coeff.chb
-
-    def kernel(lo: int, hi: int) -> None:
-        s = (slice(lo, hi), slice(0, ny - 1), slice(0, nz - 1))
-        hx[s] = cha[s] * hx[s] + chb[s] * (
-            (ey[lo:hi, : ny - 1, 1:nz] - ey[s]) - (ez[lo:hi, 1:ny, : nz - 1] - ez[s])
-        )
-        hi = min(hi, nx - 1)  # hy and hz keep their high x face
-        s = (slice(lo, hi), slice(None), slice(0, nz - 1))
-        hy[s] = cha[s] * hy[s] + chb[s] * (
-            (ez[lo + 1 : hi + 1, :, : nz - 1] - ez[s]) - (ex[lo:hi, :, 1:nz] - ex[s])
-        )
-        s = (slice(lo, hi), slice(0, ny - 1), slice(None))
-        hz[s] = cha[s] * hz[s] + chb[s] * (
-            (ex[lo:hi, 1:ny, :] - ex[s]) - (ey[lo + 1 : hi + 1, : ny - 1, :] - ey[s])
-        )
-
-    execute_stencil(kernel, _slab_plan(ex.shape, executor.backend), executor.backend, executor)
-
-
-def _advance_e_3d(
-    state: FieldState3D, coeff: UpdateCoefficients, executor: StencilExecutor
-) -> None:
-    ex, ey, ez = state.ex, state.ey, state.ez
-    hx, hy, hz = state.hx, state.hy, state.hz
-    ny, nz = ex.shape[1:]
-    cea, ceb = coeff.cea, coeff.ceb
-
-    def kernel(lo: int, hi: int) -> None:
-        s = (slice(lo, hi), slice(1, ny), slice(1, nz))
-        ex[s] = cea[s] * ex[s] + ceb[s] * (
-            (hz[s] - hz[lo:hi, : ny - 1, 1:nz]) - (hy[s] - hy[lo:hi, 1:ny, : nz - 1])
-        )
-        lo = max(lo, 1)  # ey and ez keep their low x face
-        s = (slice(lo, hi), slice(None), slice(1, nz))
-        ey[s] = cea[s] * ey[s] + ceb[s] * (
-            (hx[s] - hx[lo:hi, :, : nz - 1]) - (hz[s] - hz[lo - 1 : hi - 1, :, 1:nz])
-        )
-        s = (slice(lo, hi), slice(1, ny), slice(None))
-        ez[s] = cea[s] * ez[s] + ceb[s] * (
-            (hy[s] - hy[lo - 1 : hi - 1, 1:ny, :]) - (hx[s] - hx[lo:hi, : ny - 1, :])
-        )
-
-    execute_stencil(kernel, _slab_plan(ex.shape, executor.backend), executor.backend, executor)
+    return kernel
 
 
 # --- stepping -----------------------------------------------------------
 
 
-def _advance(
+def _stepper(
     state: FieldState,
     coeff: UpdateCoefficients,
     source: SourceSpec | None,
-    n: int,
     deltat: float,
     executor: StencilExecutor,
-) -> None:
-    """Advance the arrays of ``state`` to step ``n`` in place: source, H, E."""
-    if source is not None:
-        _write_source(state.ez, source, n, deltat)
-    if isinstance(state, FieldState1D):
-        _advance_h_1d(state, coeff, executor)
-        _advance_e_1d(state, coeff, executor)
-    else:
-        _advance_h_3d(state, coeff, executor)
-        _advance_e_3d(state, coeff, executor)
+) -> Callable[[int], None]:
+    """Return ``advance(n)``, which takes the arrays of ``state`` to step ``n``
+    in place: source, H, E.
+
+    One plan over the leading axis drives both half-steps; the components
+    trimmed along that axis clip their share of each chunk. The kernels and
+    their slices are built here once, not per step or chunk: the Python work
+    of a chunk runs under the GIL, where it stalls the other workers.
+    """
+    shape = state.ez.shape
+    plan = KernelPlan.for_range(0, shape[0], executor.backend, cells_per_index=math.prod(shape[1:]))
+    kernels = (_advance_h(state, coeff, plan), _advance_e(state, coeff, plan))
+
+    def advance(n: int) -> None:
+        if source is not None:
+            _write_source(state.ez, source, n, deltat)
+        for kernel in kernels:
+            execute_stencil(kernel, plan, executor.backend, executor)
+
+    return advance
 
 
 def step(
@@ -299,7 +294,7 @@ def step(
     n = state.step + 1
     out = replace(state.copy(), step=n)
     with StencilExecutor(backend) as executor:
-        _advance(out, coeff, source, n, deltat, executor)
+        _stepper(out, coeff, source, deltat, executor)(n)
     return out
 
 
@@ -368,8 +363,9 @@ def run(
     states: list[FieldState] = []
     cadence = config.snapshot_every
     with StencilExecutor(backend) as executor:
+        advance = _stepper(state, coeff, config.source, config.deltat, executor)
         for n in range(1, config.time_tot + 1):
-            _advance(state, coeff, config.source, n, config.deltat, executor)
+            advance(n)
             if cadence and n % cadence == 0 and n < config.time_tot:
                 states.append(_checked(replace(state.copy(), step=n)))
     # The loop is over, so the final state keeps the live arrays.

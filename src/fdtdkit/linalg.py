@@ -53,12 +53,19 @@ class LuFactorization:
         return self.lu.shape[0]
 
 
+def _require_finite(arr: np.ndarray, name: str) -> None:
+    # min and max propagate NaN, so the two bound every entry
+    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+        raise ValueError(f"{name} must be finite everywhere")
+
+
 def _as_square_float(a: FloatArray) -> FloatArray:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise ValueError(f"dtype must be float32 or float64, got {a.dtype}")
+    _require_finite(a, "a")
     return a
 
 
@@ -74,7 +81,8 @@ def lu_factor(
 
     Raises :class:`SingularMatrixError` when a pivot column is exactly zero
     below and on the diagonal (graceful degradation stops there; near-zero
-    pivots proceed and surface as a large residual instead).
+    pivots proceed and surface as a large residual instead), and
+    ``ValueError`` when ``a`` holds NaN or Inf.
     """
     a = _as_square_float(a).copy()
     n = a.shape[0]
@@ -103,12 +111,16 @@ def lu_factor(
 
 
 def lu_solve(factorization: LuFactorization, b: FloatArray) -> FloatArray:
-    """Solve A x = b from the compact factors by forward/back substitution."""
+    """Solve A x = b from the compact factors by forward/back substitution.
+
+    Raises ``ValueError`` when ``b`` holds NaN or Inf.
+    """
     lu = factorization.lu
     n = factorization.n
     b = np.asarray(b)
     if b.shape != (n,):
         raise ValueError(f"b must have shape ({n},), got {b.shape}")
+    _require_finite(b, "b")
     x = b[factorization.perm].astype(lu.dtype, copy=True)
     for i in range(1, n):
         x[i] -= lu[i, :i] @ x[:i]

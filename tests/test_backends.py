@@ -37,6 +37,10 @@ def test_worker_count_env_override(monkeypatch):
     monkeypatch.setenv(WORKERS_ENV_VAR, "0")
     with pytest.raises(ValueError):
         default_worker_count()
+    # a non-integer names the variable, so the CLI's exit-2 message says what to fix
+    monkeypatch.setenv(WORKERS_ENV_VAR, "abc")
+    with pytest.raises(ValueError, match=WORKERS_ENV_VAR):
+        default_worker_count()
 
 
 def test_plan_single_chunk_when_small_or_serial():

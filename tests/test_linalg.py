@@ -81,6 +81,15 @@ def test_factor_rejects_bad_inputs():
         LuFactorization(lu=np.ones((2, 2)), perm=np.array([0, 1, 2]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_factor_and_solve_reject_non_finite_input(bad):
+    with pytest.raises(ValueError, match="finite"):
+        lu_factor(np.array([[bad, 1.0], [1.0, 1.0]]))
+    fac = lu_factor(np.array([[2.0, 1.0], [1.0, 1.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        lu_solve(fac, np.array([1.0, bad]))
+
+
 def test_input_matrix_is_not_destroyed():
     a = np.array([[4.0, 1.0], [2.0, 3.0]])
     kept = a.copy()

@@ -51,17 +51,26 @@ def test_1d_run_matches_the_oracle_or_rejects_a_fast_medium(data):
     cell = data.draw(st.integers(1, xdim - 2), label="cell")
     courant = data.draw(st.floats(0.05, 1.0), label="courant")
     n_lambda = data.draw(st.floats(2.0, 40.0), label="n_lambda")
+    tstart = data.draw(st.integers(0, 10), label="tstart")
+    amplitude = data.draw(st.floats(-5.0, 5.0), label="amplitude")
+    soft = data.draw(st.booleans(), label="soft")
     dtype = precision.dtype
     medium = st.lists(st.floats(0.2, 3.0), min_size=xdim, max_size=xdim)
     eps = np.array(data.draw(medium, label="eps"), dtype=dtype)
     mu = np.array(data.draw(medium, label="mu"), dtype=dtype)
+    # sigma*dt/(2*eps) stays below 1 for eps >= 0.2 and dt <= 1, so any
+    # draw passes the semi-implicit loss check; zero draws keep cha == 1
+    loss = st.lists(st.floats(0.0, 0.3), min_size=xdim, max_size=xdim)
+    sigma = np.array(data.draw(loss, label="sigma"), dtype=dtype)
+    sigma_star = np.array(data.draw(loss, label="sigma_star"), dtype=dtype)
 
     cfg = SimulationConfig(
         extent=xdim, time_tot=steps, courant=courant, precision=precision,
-        source=SourceSpec(location=cell, n_lambda=n_lambda),
+        source=SourceSpec(
+            location=cell, n_lambda=n_lambda, tstart=tstart, amplitude=amplitude, soft=soft
+        ),
     )
-    zeros = np.zeros(xdim, dtype)
-    materials = MaterialGrid(epsilon=eps, mu=mu, sigma=zeros, sigma_star=zeros)
+    materials = MaterialGrid(epsilon=eps, mu=mu, sigma=sigma, sigma_star=sigma_star)
     # the fastest cell has the smallest eps*mu, against vacuum's 1*1
     fastest = courant * math.sqrt(1.0 / float((eps * mu).min()))
     if fastest > 1.0 + _RTOL:
@@ -70,7 +79,9 @@ def test_1d_run_matches_the_oracle_or_rejects_a_fast_medium(data):
                 run(cfg, materials, backend)
         return
     ez, hy = reference_run_1d(
-        xdim, steps, cell, courant=courant, n_lambda=n_lambda, epsilon=eps, mu=mu, dtype=dtype
+        xdim, steps, cell, courant=courant, n_lambda=n_lambda, tstart=tstart,
+        amplitude=amplitude, epsilon=eps, mu=mu, sigma=sigma, sigma_star=sigma_star,
+        soft=soft, dtype=dtype,
     )
     for backend, state in _runs(cfg, materials):
         assert np.array_equal(state.ez, ez), backend
