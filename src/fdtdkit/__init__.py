@@ -9,6 +9,7 @@ from .backends import (
 )
 from .bench import (
     InsufficientSamplesError,
+    MemoryCapError,
     compute_bandwidth,
     compute_speedup,
     flop_count,
@@ -55,6 +56,7 @@ __all__ = [
     "KernelPlan",
     "LuFactorization",
     "MaterialGrid",
+    "MemoryCapError",
     "NonFiniteFieldError",
     "Precision",
     "SimulationConfig",

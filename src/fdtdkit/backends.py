@@ -98,16 +98,11 @@ class Backend:
 
 @dataclass(frozen=True)
 class KernelPlan:
-    """Partition of a leading-axis range into disjoint, covering work units.
-
-    ``cells_per_index`` scales an index to a cell count: 1 for flat 1D
-    arrays, ny*nz when an index selects a full slab of a 3D grid.
-    """
+    """Partition of a leading-axis range into disjoint, covering work units."""
 
     start: int
     stop: int
     chunks: tuple[tuple[int, int], ...]
-    cells_per_index: int = 1
 
     @classmethod
     def for_range(
@@ -117,17 +112,21 @@ class KernelPlan:
         backend: Backend,
         cells_per_index: int = 1,
     ) -> "KernelPlan":
-        """Build a plan that keeps every work unit at or above the chunk floor."""
+        """Build a plan that keeps every work unit at or above the chunk floor.
+
+        ``cells_per_index`` scales an index to a cell count: 1 for flat 1D
+        arrays, ny*nz when an index selects a full slab of a 3D grid.
+        """
         if stop < start:
             raise ValueError(f"empty range bounds reversed: [{start}, {stop})")
         if cells_per_index < 1:
             raise ValueError("cells_per_index must be >= 1")
         span = stop - start
         if span == 0:
-            return cls(start, stop, (), cells_per_index)
+            return cls(start, stop, ())
         total_cells = span * cells_per_index
         if backend.workers == 1 or total_cells < 2 * MIN_CHUNK_CELLS:
-            return cls(start, stop, ((start, stop),), cells_per_index)
+            return cls(start, stop, ((start, stop),))
         # Aim for a few chunks per worker, but never drop below the cell floor.
         floor_indices = max(1, math.ceil(MIN_CHUNK_CELLS / cells_per_index))
         max_chunks = max(1, span // floor_indices)
@@ -136,7 +135,7 @@ class KernelPlan:
         chunks = tuple(
             (lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
         )
-        return cls(start, stop, chunks, cells_per_index)
+        return cls(start, stop, chunks)
 
     def __post_init__(self) -> None:
         prev = self.start

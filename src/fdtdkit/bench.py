@@ -30,7 +30,7 @@ from typing import Callable, ClassVar, Sequence, Union
 import numpy as np
 
 from .backends import Backend, StencilExecutor
-from .engine import run
+from .engine import run, run_footprint_bytes
 from .linalg import lu_factor, lu_solve, relative_residual
 from .model import Precision, SimulationConfig
 
@@ -52,6 +52,10 @@ class NonPositiveInputError(ValueError):
 
 class MismatchedPairError(ValueError):
     """Speedup requested for records that do not describe the same problem."""
+
+
+class MemoryCapError(ValueError):
+    """A field run's footprint model exceeds the memory cap; raised before it allocates."""
 
 
 class InsufficientSamplesError(ValueError):
@@ -107,6 +111,17 @@ def estimate_solve_bytes(n: int, precision: Precision) -> int:
     """
     itemsize = precision.dtype.itemsize
     return (2 * n * n + 4 * n) * itemsize
+
+
+def require_run_memory(config: SimulationConfig) -> None:
+    """Raise :class:`MemoryCapError` when ``run(config)`` would not fit under
+    :func:`default_memory_cap`; call it before anything is allocated."""
+    needed = run_footprint_bytes(config)
+    cap = default_memory_cap()
+    if needed > cap:
+        raise MemoryCapError(
+            f"grid {config.shape} needs about {needed} bytes, over the memory cap of {cap}"
+        )
 
 
 def _timed_samples(op: Callable[[], object], repeats: int) -> list[float]:
@@ -462,10 +477,14 @@ def run_fdtd_bench(
 ) -> list[FdtdBenchRecord]:
     """Time full runs per backend; :func:`pair_speedups` pairs the rates.
 
-    Before timing, every backend's final snapshot is checked byte-for-byte
-    against the first backend's; a mismatch is a hard error because a fast
-    wrong answer is not a benchmark result.
+    Every config is checked against the memory cap before the first run, so
+    an oversized sweep raises :class:`MemoryCapError` having allocated
+    nothing. Before timing, every backend's final snapshot is checked
+    byte-for-byte against the first backend's; a mismatch is a hard error
+    because a fast wrong answer is not a benchmark result.
     """
+    for config in configs:
+        require_run_memory(config)
     records: list[FdtdBenchRecord] = []
     for config in configs:
         reference: bytes | None = None

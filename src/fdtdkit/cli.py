@@ -3,8 +3,9 @@
 Exit codes are a contract for scripts: 0 on success, 1 on runtime or I/O
 failure (including a run whose fields go non-finite), 2 on a usage error
 (unknown flag, unparsable value, or a parameter combination the model
-rejects, such as a Courant number past the stability bound). Unknown flags
-are always hard errors.
+rejects, such as a Courant number past the stability bound, or a grid whose
+footprint exceeds the memory cap, checked before anything is allocated).
+Unknown flags are always hard errors.
 
 Output determinism: with the same flags and seed, CSV output is
 byte-identical across invocations and across backends. Benchmark JSON
@@ -28,6 +29,7 @@ from .bench import (
     RateRecord,
     SpeedupRecord,
     pair_speedups,
+    require_run_memory,
     run_bandwidth_bench,
     run_fdtd_bench,
     run_linsolve_bench,
@@ -213,6 +215,7 @@ def _simulate(
         snapshot_every=args.snapshot_every,
         units=args.units,
     )
+    require_run_memory(config)
     series = run(config, backend=Backend.parse(args.backend))
     with _open_out(args.out) as fh:
         emit_snapshot_csv(series, fh)

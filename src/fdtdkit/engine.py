@@ -24,11 +24,28 @@ has::
 
 The parentheses give the evaluation order, which the bitwise oracle tests
 reproduce. The ``_CURL`` table is the one place that encodes this curl; one
-H driver and one E driver read it for every state, so only ``run()``'s
-choice of state class knows a state's dimensionality. A run plans the
+H driver and one E driver read it for every state, so only the choice of
+state class for a config knows a state's dimensionality. A run plans the
 leading axis once for its executor's backend and builds the two kernels
 once; every step hands both to :func:`~fdtdkit.backends.execute_stencil`,
 the one path that runs kernels.
+
+Each chunk's row of a component is split along the leading axis into runs
+of two forms, decided per field from that field's coefficients over the
+cells the row updates:
+
+* a uniform run, where ``ca == 1`` exactly and ``cb`` holds one value bit
+  for bit, stores that value as a scalar of the array dtype and computes
+  ``f + cb*curl``;
+* a general run computes ``ca*f + cb*curl``.
+
+Both give the same bits for every cell: ``1*f == f`` exactly, a dtype
+scalar times the curl is the per-cell product, and ``+`` and ``*`` commute
+bitwise. A uniform run shorter than the chunk floor stays general, so a
+medium that varies cell by cell is one general run; vacuum is one uniform
+run, and reads two arrays fewer per update. Both forms write through
+``out=`` into scratch buffers that a run allocates once per chunk and that
+the chunk's H and E rows share, so a step allocates nothing.
 
 Loss enters through semi-implicit coefficients. With ``le = sigma*dt/(2*eps)``
 and ``lh = sigma_star*dt/(2*mu)``::
@@ -58,6 +75,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import backends
 from .backends import Backend, Kernel, KernelPlan, StencilExecutor, execute_stencil
 from .model import (
     EPS0,
@@ -175,15 +193,22 @@ _CURL = {
 }
 
 
+def _curl_terms(names: tuple[str, ...]) -> int:
+    """The most curl terms any component of a state with ``names`` keeps."""
+    return max(sum(g in names for g, _ in _CURL[name]) for name in names)
+
+
 def _curl_rows(state: FieldState, field: str, lo: int, hi: int) -> list[tuple]:
     """Chunk ``[lo, hi)`` of each ``field`` ("h" or "e") component that ``state``
     holds, with the curl terms whose neighbour it holds too.
 
-    A row is ``(f, s, terms)``: the component, the slices of the cells it
-    updates, and per term the neighbour with the same cells shifted one step
-    along the term's axis, forward for H and backward for E. Only cells whose
-    shifted neighbour exists along every such axis update; the others stay
-    frozen, so H loses its high face and E its low face along those axes.
+    A row is ``(f, s, diffs)``: the component, the slices of the cells it
+    updates, and per term the two views whose difference the term is: the
+    neighbour on the cells shifted one step along the term's axis and on the
+    cells themselves, shifted minus own for H and own minus shifted for E.
+    Only cells whose shifted neighbour exists along every such axis update;
+    the others stay frozen, so H loses its high face and E its low face along
+    those axes.
     """
     d = 1 if field == "h" else -1
     arrays = state.components()
@@ -198,42 +223,107 @@ def _curl_rows(state: FieldState, field: str, lo: int, hi: int) -> list[tuple]:
             start, stop = bounds[a]
             bounds[a] = (max(start, -d), min(stop, f.shape[a] - d))
         s = tuple(slice(*b) for b in bounds)
-        shifted = [
-            (g, s[:a] + (slice(bounds[a][0] + d, bounds[a][1] + d),) + s[a + 1 :])
-            for g, a in terms
-        ]
-        rows.append((f, s, shifted))
+        diffs = []
+        for g, a in terms:
+            shifted = g[s[:a] + (slice(bounds[a][0] + d, bounds[a][1] + d),) + s[a + 1 :]]
+            diffs.append((shifted, g[s]) if d == 1 else (g[s], shifted))
+        rows.append((f, s, diffs))
     return rows
 
 
-def _advance_h(state: FieldState, coeff: UpdateCoefficients, plan: KernelPlan) -> Kernel:
+def _uniform_spans(ca: FloatArray, cb: FloatArray) -> list[tuple[int, int, object]]:
+    """Split the leading axis of a row's coefficients into ``(a, b, c)`` runs.
+
+    ``c`` is the scalar of a uniform run, where every cell has ``ca == 1``
+    and the bits of ``cb`` equal those of ``c``; it is ``None`` for a general
+    run. A uniform run shorter than the chunk floor joins the general runs
+    around it, so a medium that varies cell by cell stays one general run.
+    """
+    n = ca.shape[0]
+    if ca.size == 0:
+        return []
+    axes = tuple(range(1, ca.ndim))
+    # compare bits, not values: 0.0 == -0.0, but the two scale a curl apart
+    bits = cb.view(f"u{cb.itemsize}")
+    first = bits[(slice(None), *(0,) * len(axes))]
+    same = bits == first.reshape(n, *(1,) * len(axes))
+    uniform = (ca == 1).all(axis=axes) & same.all(axis=axes)
+
+    def edges(uniform: np.ndarray) -> np.ndarray:
+        """Both ends and every index where the form or the scalar changes."""
+        cut = (uniform[1:] != uniform[:-1]) | (uniform[1:] & (first[1:] != first[:-1]))
+        return np.concatenate(([0], np.flatnonzero(cut) + 1, [n]))
+
+    cuts = edges(uniform)
+    sizes = np.diff(cuts)
+    long = sizes * (ca.size // n) >= backends.MIN_CHUNK_CELLS
+    uniform = np.repeat(uniform[cuts[:-1]] & long, sizes)
+    cuts = edges(uniform).tolist()
+    return [(a, b, cb[a].flat[0] if uniform[a] else None) for a, b in zip(cuts[:-1], cuts[1:])]
+
+
+def _runs(rows: list[tuple], ca: FloatArray, cb: FloatArray, scratch: FloatArray) -> list[tuple]:
+    """The uniform and general runs of one chunk's rows, ready for :func:`_update`.
+
+    A run is ``(f, ca, cb, diffs, bufs)``, all views of the run's cells:
+    ``ca`` is ``None`` and ``cb`` a scalar of the array dtype for a uniform
+    run. ``bufs`` are views of the chunk's ``scratch`` rows, one per term.
+    """
+    runs = []
+    for f, s, diffs in rows:
+        for a, b, c in _uniform_spans(ca[s], cb[s]):
+            out = f[s][a:b]
+            bufs = [buf[: out.size].reshape(out.shape) for buf in scratch[: len(diffs)]]
+            terms = [(p[a:b], q[a:b]) for p, q in diffs]
+            coeffs = (ca[s][a:b], cb[s][a:b]) if c is None else (None, c)
+            runs.append((out, *coeffs, terms, bufs))
+    return runs
+
+
+def _update(f: FloatArray, ca, cb, diffs: list[tuple], bufs: list[FloatArray]) -> None:
+    """``f = ca*f + cb*curl``, or ``f + cb*curl`` when ``ca`` is ``None``;
+    ``curl`` is the first difference, less the second if there is one."""
+    (p, q), *second = diffs
+    curl = bufs[0]
+    np.subtract(p, q, out=curl)
+    if second:
+        ((p2, q2),) = second
+        np.subtract(p2, q2, out=bufs[1])
+        np.subtract(curl, bufs[1], out=curl)
+    np.multiply(cb, curl, out=curl)
+    if ca is not None:
+        np.multiply(ca, f, out=f)
+    np.add(f, curl, out=f)
+
+
+def _advance_h(
+    state: FieldState, coeff: UpdateCoefficients, plan: KernelPlan, scratch: dict
+) -> Kernel:
     """The H half-step of ``state`` over the chunks of ``plan``, as one kernel."""
-    cha, chb = coeff.cha, coeff.chb
-    chunks = {(lo, hi): _curl_rows(state, "h", lo, hi) for lo, hi in plan.chunks}
+    chunks = {
+        c: _runs(_curl_rows(state, "h", *c), coeff.cha, coeff.chb, scratch[c])
+        for c in plan.chunks
+    }
 
     def kernel(lo: int, hi: int) -> None:
-        for f, s, ((g1, t1), *second) in chunks[lo, hi]:
-            if second:
-                ((g2, t2),) = second
-                f[s] = cha[s] * f[s] + chb[s] * ((g1[t1] - g1[s]) - (g2[t2] - g2[s]))
-            else:
-                f[s] = cha[s] * f[s] + chb[s] * (g1[t1] - g1[s])
+        for run in chunks[lo, hi]:
+            _update(*run)
 
     return kernel
 
 
-def _advance_e(state: FieldState, coeff: UpdateCoefficients, plan: KernelPlan) -> Kernel:
+def _advance_e(
+    state: FieldState, coeff: UpdateCoefficients, plan: KernelPlan, scratch: dict
+) -> Kernel:
     """The E half-step of ``state`` over the chunks of ``plan``, as one kernel."""
-    cea, ceb = coeff.cea, coeff.ceb
-    chunks = {(lo, hi): _curl_rows(state, "e", lo, hi) for lo, hi in plan.chunks}
+    chunks = {
+        c: _runs(_curl_rows(state, "e", *c), coeff.cea, coeff.ceb, scratch[c])
+        for c in plan.chunks
+    }
 
     def kernel(lo: int, hi: int) -> None:
-        for f, s, ((g1, t1), *second) in chunks[lo, hi]:
-            if second:
-                ((g2, t2),) = second
-                f[s] = cea[s] * f[s] + ceb[s] * ((g1[s] - g1[t1]) - (g2[s] - g2[t2]))
-            else:
-                f[s] = cea[s] * f[s] + ceb[s] * (g1[s] - g1[t1])
+        for run in chunks[lo, hi]:
+            _update(*run)
 
     return kernel
 
@@ -252,13 +342,24 @@ def _stepper(
     in place: source, H, E.
 
     One plan over the leading axis drives both half-steps; the components
-    trimmed along that axis clip their share of each chunk. The kernels and
-    their slices are built here once, not per step or chunk: the Python work
-    of a chunk runs under the GIL, where it stalls the other workers.
+    trimmed along that axis clip their share of each chunk. The kernels, their
+    runs and the scratch buffers are built here once, not per step or chunk:
+    the Python work of a chunk runs under the GIL, where it stalls the other
+    workers. Each chunk owns its scratch, one chunk-sized row per curl term,
+    which its H and E runs share; no two chunks share a buffer.
     """
     shape = state.ez.shape
-    plan = KernelPlan.for_range(0, shape[0], executor.backend, cells_per_index=math.prod(shape[1:]))
-    kernels = (_advance_h(state, coeff, plan), _advance_e(state, coeff, plan))
+    cells_per_index = math.prod(shape[1:])
+    plan = KernelPlan.for_range(0, shape[0], executor.backend, cells_per_index=cells_per_index)
+    terms = _curl_terms(state.NAMES)
+    scratch = {
+        (lo, hi): np.empty((terms, (hi - lo) * cells_per_index), state.ez.dtype)
+        for lo, hi in plan.chunks
+    }
+    kernels = (
+        _advance_h(state, coeff, plan, scratch),
+        _advance_e(state, coeff, plan, scratch),
+    )
 
     def advance(n: int) -> None:
         if source is not None:
@@ -322,6 +423,26 @@ def _checked(state: FieldState) -> FieldState:
     return state
 
 
+def _state_class(config: SimulationConfig) -> type[FieldState]:
+    return FieldState1D if config.dims == 1 else FieldState3D
+
+
+def run_footprint_bytes(config: SimulationConfig) -> int:
+    """Bytes that ``run(config)`` holds while it steps, on the vacuum it
+    builds when no materials are passed.
+
+    Counts the live fields, the four material and four coefficient arrays,
+    the scratch buffers (one grid's worth per curl term of a row, summed over
+    the chunks) and every snapshot copy. Transients of the coefficient set-up
+    and of the CSV writer are left out.
+    """
+    names = _state_class(config).NAMES
+    cadence = config.snapshot_every
+    snapshots = (config.time_tot - 1) // cadence if cadence else 0
+    arrays = len(names) * (1 + snapshots) + 4 + 4 + _curl_terms(names)
+    return arrays * config.cell_count * config.precision.dtype.itemsize
+
+
 def run(
     config: SimulationConfig,
     materials: MaterialGrid | None = None,
@@ -357,8 +478,7 @@ def run(
     speed_sq = float(vacuum) / float((materials.epsilon * materials.mu).min())
     validate_stability(config.dims, config.courant * math.sqrt(speed_sq))
     coeff = UpdateCoefficients.from_materials(materials, config.deltat, config.delta)
-    state_cls = FieldState1D if config.dims == 1 else FieldState3D
-    state: FieldState = state_cls.zeros(config.extent, config.precision)
+    state: FieldState = _state_class(config).zeros(config.extent, config.precision)
 
     states: list[FieldState] = []
     cadence = config.snapshot_every

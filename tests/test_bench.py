@@ -8,6 +8,7 @@ from fdtdkit.backends import Backend
 from fdtdkit.bench import (
     BandwidthRecord,
     InsufficientSamplesError,
+    MemoryCapError,
     MismatchedPairError,
     NonPositiveInputError,
     SolveBenchRecord,
@@ -21,6 +22,7 @@ from fdtdkit.bench import (
     run_fdtd_bench,
     run_linsolve_bench,
 )
+from fdtdkit.engine import run_footprint_bytes
 from fdtdkit.model import Precision, SimulationConfig, SourceSpec
 
 
@@ -191,6 +193,34 @@ def test_fdtd_bench_records_and_pairing(fast_timing):
     (sp,) = pair_speedups(records)
     assert sp.key() == "fdtd:64:double:parallel:2"
     assert sp.speedup == records[1].updates_per_s / records[0].updates_per_s
+
+
+def test_run_footprint_counts_fields_coefficients_scratch_and_snapshots():
+    # 1D: ez and hy, live and in 3 snapshots (steps 3, 6, 9 of 10), four
+    # material and four coefficient arrays, one scratch row per curl term
+    cfg = SimulationConfig(
+        extent=1000, time_tot=10, snapshot_every=3, source=SourceSpec(location=500)
+    )
+    assert run_footprint_bytes(cfg) == (2 * 4 + 4 + 4 + 1) * 1000 * 8
+    # 3D: six components, two curl terms per row, no snapshot copies
+    cfg = SimulationConfig(
+        extent=(4, 5, 6), time_tot=10, precision=Precision.SINGLE,
+        source=SourceSpec(location=(2, 2, 2)),
+    )
+    assert run_footprint_bytes(cfg) == (6 + 4 + 4 + 2) * 120 * 4
+
+
+def test_fdtd_bench_checks_the_memory_cap_before_any_run(monkeypatch):
+    small = SimulationConfig(extent=64, time_tot=4, source=SourceSpec(location=32))
+    large = SimulationConfig(extent=4096, time_tot=4, source=SourceSpec(location=32))
+    monkeypatch.setattr(bench, "default_memory_cap", lambda: run_footprint_bytes(large) - 1)
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started before the cap was checked")
+
+    monkeypatch.setattr(bench, "run", no_run)
+    with pytest.raises(MemoryCapError, match="memory cap"):
+        run_fdtd_bench([small, large])
 
 
 def test_json_schema_keys():

@@ -84,6 +84,29 @@ def test_non_finite_fields_are_exit_1_and_write_no_csv(argv, tmp_path, capsys):
     assert "NaN or Inf at step" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--xdim", "4096"],
+        ["simulate3d", "--nx", "16", "--ny", "16", "--nz", "16"],
+        ["bench-fdtd", "--xdim", "64,4096"],
+    ],
+    ids=["simulate", "simulate3d", "bench-fdtd"],
+)
+def test_over_the_memory_cap_is_exit_2_before_any_allocation(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench, "default_memory_cap", lambda: 4096 * 8)
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated before the memory cap was checked")
+
+    monkeypatch.setattr(bench, "run", no_allocation)
+    monkeypatch.setattr("fdtdkit.cli.run", no_allocation)
+    out = tmp_path / "out"
+    assert main(argv + ["--steps", "2", "--out", str(out)]) == 2
+    assert "memory cap" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_default_run_golden_across_invocations_and_backends(tmp_path):
     paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
     assert main(["simulate", "--out", str(paths[0])]) == 0

@@ -1,8 +1,11 @@
 """3D engine behavior: hand-worked curl samples, symmetry, and the 1D limit."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import fdtdkit.engine as engine
 from fdtdkit.backends import Backend, KernelPlan
 from fdtdkit.engine import UpdateCoefficients, field_energy, run, step
 from fdtdkit.model import (
@@ -205,3 +208,36 @@ def test_engine_matches_oracle_on_random_lossy_grids(precision):
             for name, arr in state.components().items():
                 assert np.array_equal(arr, expected[name]), (trial, str(backend), name)
             assert np.any(state.ez != 0.0)
+
+
+@pytest.mark.parametrize("backend", [Backend.serial(), Backend.parallel(2)], ids=str)
+@pytest.mark.parametrize("extent", [2**15, (32, 32, 32)], ids=["1d-vacuum", "3d-lossy-block"])
+def test_half_steps_allocate_nothing(extent, backend, monkeypatch):
+    """Both row forms write into the run's scratch: no half-step allocates a
+    temporary the size of a component. The 3D block is lossy: on serial its
+    E rows take the general form and the vacuum around it the short one."""
+    location = 3 if isinstance(extent, int) else (3, 16, 16)
+    cfg = SimulationConfig(extent=extent, time_tot=4, source=SourceSpec(location=location))
+    materials = make_vacuum_materials(cfg.extent, cfg.precision, cfg.units)
+    if cfg.dims == 3:
+        materials.epsilon[8:24, 4:18, 10:28] = 2.5
+        materials.sigma[8:24, 4:18, 10:28] = 0.05
+    growth = []
+    execute_stencil = engine.execute_stencil
+
+    def measured(kernel, plan, backend, executor):
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        execute_stencil(kernel, plan, backend, executor)
+        growth.append(tracemalloc.get_traced_memory()[1] - before)
+
+    monkeypatch.setattr(engine, "execute_stencil", measured)
+    tracemalloc.start()
+    try:
+        run(cfg, materials, backend)
+    finally:
+        tracemalloc.stop()
+    assert len(growth) == 2 * cfg.time_tot
+    # NumPy's ufunc iterator buffers strided operands in blocks of at most
+    # 8192 values; that and the futures are all a half-step may allocate
+    assert max(growth) < cfg.cell_count * cfg.precision.dtype.itemsize

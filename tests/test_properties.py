@@ -4,6 +4,8 @@ Hypothesis draws the problems; ``derandomize=True`` makes every session draw
 the same ones, so the suite stays deterministic. While a test runs, the chunk
 floor is lowered to one cell so that ``parallel:3`` really splits these small
 grids; any chunking must give the same bits (see :mod:`fdtdkit.backends`).
+The same floor bounds the engine's uniform runs from below, so on these
+grids vacuum and uniform blocks take the scalar short form of the update.
 """
 
 import math
@@ -16,8 +18,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import fdtdkit.backends as backends  # noqa: E402
-from fdtdkit.backends import Backend  # noqa: E402
-from fdtdkit.engine import run  # noqa: E402
+from fdtdkit.backends import Backend, KernelPlan  # noqa: E402
+from fdtdkit.engine import UpdateCoefficients, run  # noqa: E402
 from fdtdkit.model import (  # noqa: E402
     MaterialGrid,
     Precision,
@@ -35,11 +37,57 @@ _BACKENDS = (Backend.serial(), Backend.parallel(3))
 _RTOL = 1e-12
 
 
-def _runs(cfg, materials):
-    """Final state of ``cfg`` on each backend, with a one-cell chunk floor."""
+def _runs(cfg, materials, floor=1):
+    """Final state of ``cfg`` on each backend, with a chunk floor of ``floor`` cells."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(backends, "MIN_CHUNK_CELLS", 1)
+        mp.setattr(backends, "MIN_CHUNK_CELLS", floor)
         return [(str(b), run(cfg, materials, b).final) for b in _BACKENDS]
+
+
+def _chunk_edges(n, floor):
+    """Where ``parallel:3`` cuts a leading axis of ``n`` under a ``floor``-cell floor."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(backends, "MIN_CHUNK_CELLS", floor)
+        plan = KernelPlan.for_range(0, n, _BACKENDS[1])
+    return [lo for lo, _ in plan.chunks]
+
+
+def _block_materials(shape, block, dtype, eps, mu, sigma, sigma_star):
+    """Vacuum with one box ``block`` of constant eps, mu and loss."""
+    arrays = {
+        "epsilon": np.ones(shape, dtype),
+        "mu": np.ones(shape, dtype),
+        "sigma": np.zeros(shape, dtype),
+        "sigma_star": np.zeros(shape, dtype),
+    }
+    for name, value in zip(arrays, (eps, mu, sigma, sigma_star)):
+        arrays[name][block] = value
+    return arrays
+
+
+def _draw_block(data, shape, floor):
+    """A box inside ``shape``; its low edge on the leading axis is often a
+    chunk edge inside the grid."""
+    edges = _chunk_edges(shape[0], floor)[1:] or [0]
+    bounds = []
+    for axis, n in enumerate(shape):
+        starts = st.sampled_from(edges) | st.integers(0, n - 1) if axis == 0 else st.integers(0, n - 1)
+        lo = data.draw(starts, label=f"block_lo{axis}")
+        bounds.append(slice(lo, data.draw(st.integers(lo + 1, n), label=f"block_hi{axis}")))
+    return tuple(bounds)
+
+
+def _draw_block_medium(data):
+    """eps and mu of at least 1 keep every Courant draw stable; without loss
+    the block is a second uniform medium, with ``sigma_star`` its H is general."""
+    lossy = data.draw(st.booleans(), label="lossy")
+    loss = st.floats(0.0, 0.3) if lossy else st.just(0.0)
+    return (
+        data.draw(st.floats(1.0, 4.0), label="block_eps"),
+        data.draw(st.floats(1.0, 4.0), label="block_mu"),
+        data.draw(loss, label="block_sigma"),
+        data.draw(loss, label="block_sigma_star"),
+    )
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -115,6 +163,89 @@ def test_3d_run_matches_the_oracle_on_lossy_grids(data):
         shape, steps, location, courant=courant, n_lambda=7.0, soft=soft, plane=plane,
         dtype=dtype, **arrays,
     )
+    for backend, state in _runs(cfg, MaterialGrid(**arrays)):
+        for name, arr in state.components().items():
+            assert np.array_equal(arr, expected[name]), (backend, name)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_1d_vacuum_with_a_block_matches_the_oracle(data):
+    precision = data.draw(st.sampled_from(list(Precision)), label="precision")
+    xdim = data.draw(st.integers(3, 60), label="xdim")
+    steps = data.draw(st.integers(1, 40), label="steps")
+    cell = data.draw(st.integers(1, xdim - 2), label="cell")
+    courant = data.draw(st.floats(0.05, 1.0), label="courant")
+    soft = data.draw(st.booleans(), label="soft")
+    floor = data.draw(st.sampled_from([1, 1, 3, 16]), label="floor")
+    block = _draw_block(data, (xdim,), floor)
+    arrays = _block_materials((xdim,), block, precision.dtype, *_draw_block_medium(data))
+
+    cfg = SimulationConfig(
+        extent=xdim, time_tot=steps, courant=courant, precision=precision,
+        source=SourceSpec(location=cell, n_lambda=9.0, soft=soft),
+    )
+    ez, hy = reference_run_1d(
+        xdim, steps, cell, courant=courant, n_lambda=9.0, soft=soft,
+        dtype=precision.dtype, **arrays,
+    )
+    for backend, state in _runs(cfg, MaterialGrid(**arrays), floor):
+        assert np.array_equal(state.ez, ez), backend
+        assert np.array_equal(state.hy, hy), backend
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_3d_vacuum_with_a_block_matches_the_oracle(data):
+    precision = data.draw(st.sampled_from(list(Precision)), label="precision")
+    shape = tuple(data.draw(st.lists(st.integers(3, 8), min_size=3, max_size=3), label="shape"))
+    steps = data.draw(st.integers(1, 6), label="steps")
+    location = tuple(data.draw(st.integers(1, n - 2), label="location") for n in shape)
+    plane = data.draw(st.booleans(), label="plane")
+    courant = data.draw(st.floats(0.05, 1.0 / math.sqrt(3.0)), label="courant")
+    floor = data.draw(st.sampled_from([1, 1, 20]), label="floor")
+    block = _draw_block(data, shape, floor)
+    arrays = _block_materials(shape, block, precision.dtype, *_draw_block_medium(data))
+
+    cfg = SimulationConfig(
+        extent=shape, time_tot=steps, courant=courant, precision=precision,
+        source=SourceSpec(location=location, n_lambda=7.0, plane=plane),
+    )
+    expected = reference_run_3d(
+        shape, steps, location, courant=courant, n_lambda=7.0, plane=plane,
+        dtype=precision.dtype, **arrays,
+    )
+    for backend, state in _runs(cfg, MaterialGrid(**arrays), floor):
+        for name, arr in state.components().items():
+            assert np.array_equal(arr, expected[name]), (backend, name)
+
+
+@pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.value)
+@pytest.mark.parametrize("shape", [(24,), (7, 6, 5)], ids=["1d", "3d"])
+def test_a_slab_one_ulp_off_its_neighbours_keeps_its_own_factor(shape, precision):
+    # mu one ulp below 1 on slab 3 puts its chb one ulp above the vacuum
+    # value around it: a uniformity check with any tolerance, or a scalar
+    # taken from the wrong slab, changes the bits of the fields there
+    dtype = precision.dtype
+    arrays = _block_materials(shape, 3, dtype, 1.0, np.nextafter(dtype.type(1), dtype.type(0)), 0.0, 0.0)
+    source = SourceSpec(location=(2, 3, 2) if len(shape) == 3 else 2, n_lambda=8.0)
+    cfg = SimulationConfig(
+        extent=shape if len(shape) == 3 else shape[0], time_tot=12 if len(shape) == 3 else 20,
+        courant=0.5 if len(shape) == 3 else 0.9, precision=precision, source=source,
+    )
+    chb = UpdateCoefficients.from_materials(MaterialGrid(**arrays), cfg.deltat, cfg.delta).chb
+    assert chb[3].flat[0] == np.nextafter(chb[2].flat[0], dtype.type(2))
+
+    if len(shape) == 3:
+        expected = reference_run_3d(
+            shape, cfg.time_tot, source.location, courant=0.5, n_lambda=8.0,
+            dtype=dtype, **arrays,
+        )
+    else:
+        ez, hy = reference_run_1d(
+            shape[0], cfg.time_tot, 2, courant=0.9, n_lambda=8.0, dtype=dtype, **arrays
+        )
+        expected = {"ez": ez, "hy": hy}
     for backend, state in _runs(cfg, MaterialGrid(**arrays)):
         for name, arr in state.components().items():
             assert np.array_equal(arr, expected[name]), (backend, name)
