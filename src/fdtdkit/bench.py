@@ -31,7 +31,7 @@ import numpy as np
 
 from .backends import Backend, StencilExecutor
 from .engine import run, run_footprint_bytes
-from .linalg import lu_factor, lu_solve, relative_residual
+from .linalg import lu_factor, lu_solve, relative_residual, workspace_bytes
 from .model import Precision, SimulationConfig
 
 # Binary megabyte used by every bandwidth figure in this module.
@@ -107,7 +107,9 @@ def estimate_solve_bytes(n: int, precision: Precision) -> int:
     """Footprint model for one benchmark solve: two n*n matrices plus vectors.
 
     One matrix is factored in place, the original is kept for the residual
-    check, and a handful of length-n vectors tag along.
+    check, and a handful of length-n vectors tag along. The factorization's
+    own transient comes on top: :func:`fdtdkit.linalg.workspace_bytes`, which
+    :func:`run_linsolve_bench` adds for its widest backend.
     """
     itemsize = precision.dtype.itemsize
     return (2 * n * n + 4 * n) * itemsize
@@ -409,12 +411,13 @@ def run_linsolve_bench(
     byte-for-byte against the first backend's; a mismatch is a hard error.
     """
     cap = default_memory_cap() if memory_cap_bytes is None else memory_cap_bytes
+    workers = max((b.workers for b in backends), default=1)
     records: list[SolveBenchRecord] = []
     for n in sizes:
         if n < 1:
             raise NonPositiveInputError(f"matrix order must be >= 1, got {n}")
         for precision in precisions:
-            needed = estimate_solve_bytes(n, precision)
+            needed = estimate_solve_bytes(n, precision) + workspace_bytes(n, precision.dtype, workers)
             if needed > cap:
                 for backend in backends:
                     records.append(

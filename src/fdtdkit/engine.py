@@ -123,24 +123,40 @@ class UpdateCoefficients:
     def from_materials(
         cls, materials: MaterialGrid, deltat: float, delta: float
     ) -> "UpdateCoefficients":
-        """Build the semi-implicit factors; all arithmetic in the material dtype."""
+        """Build the semi-implicit factors; all arithmetic in the material dtype.
+
+        With ``l = sigma*dt / (2*eps)`` (``sigma_star`` and ``mu`` for H):
+        ``a = (1 - l) / (1 + l)`` and ``b = dt / (dl*eps) / (1 + l)``. Each
+        pair is computed in place in its two outputs plus one shared
+        grid-sized transient, in that operation order, so the peak is five
+        grid arrays.
+        """
         dtype = materials.dtype
         dt = dtype.type(deltat)
         dl = dtype.type(delta)
         one = dtype.type(1.0)
         two = dtype.type(2.0)
+        tmp = np.empty_like(materials.epsilon)
 
-        le = materials.sigma * dt / (two * materials.epsilon)
-        lh = materials.sigma_star * dt / (two * materials.mu)
-        if np.any(le >= one) or np.any(lh >= one):
-            raise ValueError(
-                "loss too strong for the semi-implicit update at this time step; "
-                "reduce sigma, sigma_star, or the Courant number"
-            )
-        cea = (one - le) / (one + le)
-        ceb = dt / (dl * materials.epsilon) / (one + le)
-        cha = (one - lh) / (one + lh)
-        chb = dt / (dl * materials.mu) / (one + lh)
+        def pair(loss: FloatArray, medium: FloatArray) -> tuple[FloatArray, FloatArray]:
+            a = np.multiply(loss, dt)
+            np.multiply(two, medium, out=tmp)
+            np.divide(a, tmp, out=a)  # l
+            if a.max() >= one:
+                raise ValueError(
+                    "loss too strong for the semi-implicit update at this time step; "
+                    "reduce sigma, sigma_star, or the Courant number"
+                )
+            b = np.multiply(dl, medium)
+            np.divide(dt, b, out=b)
+            np.add(one, a, out=tmp)
+            np.divide(b, tmp, out=b)
+            np.subtract(one, a, out=a)
+            np.divide(a, tmp, out=a)
+            return a, b
+
+        cea, ceb = pair(materials.sigma, materials.epsilon)
+        cha, chb = pair(materials.sigma_star, materials.mu)
         return cls(cea=cea, ceb=ceb, cha=cha, chb=chb)
 
 

@@ -1,6 +1,7 @@
 """1D engine behavior against hand-worked values and the brute-force oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +51,14 @@ def test_overdamped_coefficients_rejected():
         UpdateCoefficients.from_materials(materials, deltat=1.0, delta=1.0)
 
 
+def test_overdamped_magnetic_loss_rejected():
+    materials = MaterialGrid(
+        epsilon=np.ones(3), mu=np.ones(3), sigma=np.zeros(3), sigma_star=np.array([0.0, 2.0, 0.0])
+    )
+    with pytest.raises(ValueError, match="loss too strong"):
+        UpdateCoefficients.from_materials(materials, deltat=1.0, delta=1.0)
+
+
 def identity_coefficients(xdim):
     # cea = cha = 1 and ceb = chb = 0 make both half-steps exact identities,
     # so a step changes nothing but the source cell
@@ -62,6 +71,42 @@ def hand_example_step():
     coeff = vacuum_coefficients(3, deltat=0.5)
     state = FieldState1D(ez=np.array([0.0, 1.0, 0.0]), hy=np.zeros(3))
     return state, step(state, coeff, None, 0.5)
+
+
+@pytest.mark.parametrize(
+    "shape, precision",
+    [((2**14,), Precision.DOUBLE), ((24, 20, 16), Precision.SINGLE)],
+    ids=["1d-double", "3d-single"],
+)
+def test_coefficients_peak_at_five_grid_arrays_with_the_same_bits(shape, precision):
+    dtype = precision.dtype
+    rng = np.random.default_rng(8)
+    materials = MaterialGrid(
+        epsilon=rng.uniform(1.0, 3.0, shape).astype(dtype),
+        mu=rng.uniform(1.0, 3.0, shape).astype(dtype),
+        sigma=rng.uniform(0.0, 0.1, shape).astype(dtype),
+        sigma_star=rng.uniform(0.0, 0.1, shape).astype(dtype),
+    )
+    deltat, delta = 0.45, 1.0
+    tracemalloc.start()
+    try:
+        coeff = UpdateCoefficients.from_materials(materials, deltat, delta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # four outputs plus one shared transient, and a little for the objects
+    assert peak <= 5 * materials.epsilon.nbytes + 4096
+
+    # the expressions written out, one temporary per operation
+    dt, dl, one, two = (dtype.type(v) for v in (deltat, delta, 1.0, 2.0))
+    for loss, medium, a, b in (
+        (materials.sigma, materials.epsilon, coeff.cea, coeff.ceb),
+        (materials.sigma_star, materials.mu, coeff.cha, coeff.chb),
+    ):
+        ratio = loss * dt / (two * medium)
+        assert a.dtype == b.dtype == dtype
+        assert a.tobytes() == ((one - ratio) / (one + ratio)).tobytes()
+        assert b.tobytes() == (dt / (dl * medium) / (one + ratio)).tobytes()
 
 
 def test_h_update_hand_example():

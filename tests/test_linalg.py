@@ -1,9 +1,16 @@
 """Factorization correctness, pivoting, residual bounds, backend determinism."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from fdtdkit.backends import Backend
+from fdtdkit.backends import Backend, StencilExecutor
+from fdtdkit.bench import _solve_problem, estimate_solve_bytes
 from fdtdkit.linalg import (
     LuFactorization,
     SingularMatrixError,
@@ -11,6 +18,7 @@ from fdtdkit.linalg import (
     lu_solve,
     relative_residual,
     residual_bound,
+    workspace_bytes,
 )
 from fdtdkit.model import Precision
 
@@ -149,3 +157,67 @@ def test_relative_residual_of_exact_solution_is_zero():
     a = np.eye(3)
     b = np.array([1.0, 2.0, 3.0])
     assert relative_residual(a, b, b) == 0.0
+
+
+def test_zero_pivot_past_the_first_panel_names_its_column():
+    a = np.zeros((101, 101))
+    a[:100, :100] = np.eye(100)
+    for backend in (Backend.serial(), Backend.parallel(2)):
+        with pytest.raises(SingularMatrixError) as err:
+            lu_factor(a, backend)
+        assert err.value.column == 100
+
+
+_BLAS_PROBE = """
+import hashlib, sys
+import numpy as np
+from fdtdkit.backends import Backend
+from fdtdkit.bench import _solve_problem
+from fdtdkit.linalg import lu_factor, lu_solve
+from fdtdkit.model import Precision
+
+for precision in (Precision.SINGLE, Precision.DOUBLE):
+    a, b = _solve_problem(1000, precision, 17)
+    for backend in (Backend.serial(), Backend.parallel(2)):
+        fac = lu_factor(a, backend)
+        x = lu_solve(fac, b)
+        blob = fac.lu.tobytes() + fac.perm.tobytes() + x.tobytes()
+        print(precision.value, backend, hashlib.sha256(blob).hexdigest())
+"""
+
+
+def test_bytes_do_not_depend_on_the_blas_thread_count():
+    # n = 1000 is not a multiple of the trailing-update tile, so the last
+    # tile of every step is a narrower GEMM.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-c", _BLAS_PROBE], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.splitlines())
+    assert len(digests[0]) == 4
+    assert digests[0] == digests[1]
+    # every backend agrees within a precision as well
+    for lines in (digests[0][:2], digests[0][2:]):
+        assert len({line.split()[-1] for line in lines}) == 1
+
+
+@pytest.mark.parametrize("precision", [Precision.SINGLE, Precision.DOUBLE], ids=lambda p: p.value)
+@pytest.mark.parametrize("backend", [Backend.serial(), Backend.parallel(2)], ids=str)
+def test_factor_and_solve_peak_memory_is_within_the_solve_model(precision, backend):
+    n = 512
+    a, b = _solve_problem(n, precision, 3)
+    budget = estimate_solve_bytes(n, precision) + workspace_bytes(n, a.dtype, backend.workers)
+    with StencilExecutor(backend) as ex:
+        tracemalloc.start()
+        try:
+            lu_solve(lu_factor(a, backend, ex), b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # the caller's matrix and right-hand side were allocated before tracing
+    assert peak <= budget - a.nbytes

@@ -20,6 +20,14 @@ from hypothesis import strategies as st  # noqa: E402
 import fdtdkit.backends as backends  # noqa: E402
 from fdtdkit.backends import Backend, KernelPlan  # noqa: E402
 from fdtdkit.engine import UpdateCoefficients, run  # noqa: E402
+from fdtdkit.linalg import (  # noqa: E402
+    _NB,
+    _TILE,
+    lu_factor,
+    lu_solve,
+    relative_residual,
+    residual_bound,
+)
 from fdtdkit.model import (  # noqa: E402
     MaterialGrid,
     Precision,
@@ -249,3 +257,49 @@ def test_a_slab_one_ulp_off_its_neighbours_keeps_its_own_factor(shape, precision
     for backend, state in _runs(cfg, MaterialGrid(**arrays)):
         for name, arr in state.components().items():
             assert np.array_equal(arr, expected[name]), (backend, name)
+
+
+def _block_edges(limit):
+    """Orders on either side of every panel and tile edge up to ``limit``."""
+    edges = set()
+    for width in (_NB, _TILE):
+        for edge in range(width, limit + 1, width):
+            edges.update((edge - 1, edge, edge + 1))
+    # a trailing matrix that starts on a panel edge and ends past a tile edge
+    edges.update(_NB + k * _TILE + d for k in (1, 2) for d in (0, 1))
+    return sorted(e for e in edges if 1 <= e <= limit)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_blocked_factor_is_bitwise_serial_and_reconstructs_the_matrix(data):
+    n = data.draw(st.sampled_from(_block_edges(300)) | st.integers(1, 300), label="n")
+    precision = data.draw(st.sampled_from(list(Precision)), label="precision")
+    workers = data.draw(st.integers(1, 4), label="workers")
+    floor = data.draw(st.sampled_from([1, 64, 4096]), label="floor")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    dominant = data.draw(st.booleans(), label="dominant")
+    dtype = precision.dtype
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1.0, 1.0, (n, n)).astype(dtype)
+    if dominant:
+        np.fill_diagonal(a, a.diagonal() + dtype.type(n))
+    b = rng.uniform(-1.0, 1.0, n).astype(dtype)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(backends, "MIN_CHUNK_CELLS", floor)
+        serial = lu_factor(a)
+        par = lu_factor(a, Backend.parallel(workers))
+    assert par.lu.tobytes() == serial.lu.tobytes()
+    assert par.perm.tobytes() == serial.perm.tobytes()
+    assert sorted(serial.perm) == list(range(n))
+
+    x = lu_solve(serial, b)
+    assert relative_residual(a, x, b) <= residual_bound(n, precision.eps)
+
+    # |L U - A[perm]| <= gamma_n |L| |U| elementwise, with gamma_n inside the bound
+    lower = np.tril(serial.lu, -1).astype(np.float64)
+    np.fill_diagonal(lower, 1.0)
+    upper = np.triu(serial.lu).astype(np.float64)
+    error = np.abs(lower @ upper - a[serial.perm].astype(np.float64))
+    assert (error <= residual_bound(n, precision.eps) * (np.abs(lower) @ np.abs(upper))).all()
