@@ -20,7 +20,6 @@ from .bench import (
 from .engine import (
     SnapshotSeries,
     UpdateCoefficients,
-    field_energy,
     run,
     step,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "compute_bandwidth",
     "compute_speedup",
     "execute_stencil",
-    "field_energy",
     "flop_count",
     "lu_factor",
     "lu_solve",

@@ -85,7 +85,12 @@ class Backend:
         if text == "parallel":
             return cls.parallel()
         if text.startswith("parallel:"):
-            return cls.parallel(int(text.split(":", 1)[1]))
+            try:
+                workers = int(text.split(":", 1)[1])
+            except ValueError:
+                pass
+            else:
+                return cls.parallel(workers)
         raise ValueError(f"unknown backend {text!r}, expected 'serial' or 'parallel[:k]'")
 
     @property

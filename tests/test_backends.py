@@ -22,9 +22,10 @@ def test_backend_parse_roundtrip():
 
 
 def test_backend_parse_rejects_unknown():
-    with pytest.raises(ValueError):
-        Backend.parse("gpu")
-    with pytest.raises(ValueError):
+    for text in ("gpu", "parallel:x", "parallel:"):
+        with pytest.raises(ValueError, match=f"unknown backend '{text}'"):
+            Backend.parse(text)
+    with pytest.raises(ValueError, match=">= 1"):
         Backend.parse("parallel:0")
     with pytest.raises(ValueError):
         Backend("serial", 2)

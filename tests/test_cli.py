@@ -56,6 +56,11 @@ def test_unstable_courant_is_exit_2_and_names_the_bound(capsys):
     assert "1.0" in capsys.readouterr().err
 
 
+def test_bad_worker_count_is_exit_2_and_names_the_text(capsys):
+    assert main(["simulate", "--backend", "parallel:x", "--xdim", "8", "--steps", "1"]) == 2
+    assert "parallel:x" in capsys.readouterr().err
+
+
 def test_unwritable_output_is_exit_1(tmp_path):
     code = main([
         "simulate", "--xdim", "8", "--steps", "1",

@@ -1,13 +1,14 @@
 """3D engine behavior: hand-worked curl samples, symmetry, and the 1D limit."""
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fdtdkit.engine as engine
 from fdtdkit.backends import Backend, KernelPlan
-from fdtdkit.engine import UpdateCoefficients, field_energy, run, step
+from fdtdkit.engine import UpdateCoefficients, run, step
 from fdtdkit.model import (
     FieldState3D,
     MaterialGrid,
@@ -17,6 +18,7 @@ from fdtdkit.model import (
     make_vacuum_materials,
 )
 
+from energy import discrete_energy
 from oracle_3d import reference_run_3d
 
 
@@ -156,14 +158,13 @@ def test_3d_energy_grows_while_driven():
     materials = make_vacuum_materials(shape, Precision.DOUBLE, "normalized")
     coeff = vacuum_coefficients(shape, deltat=0.5)
     source = SourceSpec(location=(5, 5, 5))
-    state = FieldState3D.zeros(shape)
+    states = [FieldState3D.zeros(shape)]
+    for _ in range(6):
+        states.append(step(states[-1], coeff, source, 0.5))
     # the waveform's first sample is zero, so measure from step 2 on
-    state = step(state, coeff, source, 0.5)
-    state = step(state, coeff, source, 0.5)
-    first = field_energy(state, materials)
-    for _ in range(3):
-        state = step(state, coeff, source, 0.5)
-    assert field_energy(state, materials) > first > 0.0
+    energy = [discrete_energy(a, b, materials) for a, b in zip(states[2:], states[3:])]
+    assert energy[0] > 0.0
+    assert all(nxt > before for before, nxt in zip(energy, energy[1:]))
 
 
 def test_3d_single_precision_runs_in_dtype():
@@ -241,3 +242,32 @@ def test_half_steps_allocate_nothing(extent, backend, monkeypatch):
     # NumPy's ufunc iterator buffers strided operands in blocks of at most
     # 8192 values; that and the futures are all a half-step may allocate
     assert max(growth) < cfg.cell_count * cfg.precision.dtype.itemsize
+
+
+@pytest.fixture
+def kernel_kind(monkeypatch):
+    """perfbench's own rule for telling H kernels from E kernels, imported as
+    ``perfbench/run.py`` imports it."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from tracing import kernel_kind
+
+    return kernel_kind
+
+
+@pytest.mark.parametrize("backend", [Backend.serial(), Backend.parallel(2)], ids=str)
+@pytest.mark.parametrize("extent", [64, (8, 8, 8)], ids=["1d", "3d"])
+def test_kernel_names_tell_h_from_e(extent, backend, kernel_kind, monkeypatch):
+    """The tracer counts a kernel as H or E by its ``__qualname__`` alone, and
+    anything else as neither; every step must run one H kernel, then one E."""
+    location = 32 if isinstance(extent, int) else (4, 4, 4)
+    cfg = SimulationConfig(extent=extent, time_tot=2, source=SourceSpec(location=location), courant=0.5)
+    kinds = []
+    execute_stencil = engine.execute_stencil
+
+    def recorded(kernel, plan, backend, executor):
+        kinds.append(kernel_kind(kernel.__qualname__))
+        execute_stencil(kernel, plan, backend, executor)
+
+    monkeypatch.setattr(engine, "execute_stencil", recorded)
+    run(cfg, backend=backend)
+    assert kinds == ["h", "e"] * cfg.time_tot
