@@ -15,6 +15,11 @@ backend says.
 Every kernel runs through :func:`execute_stencil` on a
 :class:`StencilExecutor` that the caller has entered; the executor only owns
 the worker pool's lifetime.
+
+A backend is named ``serial``, ``parallel`` (``FDTDKIT_WORKERS`` workers,
+else one per CPU) or ``parallel:<k>``. ``k`` and the variable are plain
+ASCII decimal with no sign, space, underscore or leading zero, so every
+accepted name round-trips through ``str``.
 """
 
 from __future__ import annotations
@@ -40,18 +45,22 @@ class BackendResourceError(RuntimeError):
     """Worker pool could not be created or came up unusable."""
 
 
+def _worker_count(text: str) -> int | None:
+    """The count ``text`` spells if it is the text ``str(int(text))`` prints, else None."""
+    if text.isascii() and text.isdigit() and str(int(text)) == text:
+        return int(text)
+    return None
+
+
 def default_worker_count() -> int:
     """Worker count for a bare `parallel` backend: env override, else CPU count."""
     env = os.environ.get(WORKERS_ENV_VAR)
-    if env is not None:
-        try:
-            count = int(env)
-        except ValueError:
-            raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
-        if count < 1:
-            raise ValueError(f"{WORKERS_ENV_VAR} must be >= 1, got {env!r}")
-        return count
-    return os.cpu_count() or 1
+    if env is None:
+        return os.cpu_count() or 1
+    count = _worker_count(env)
+    if count is None or count < 1:
+        raise ValueError(f"{WORKERS_ENV_VAR} must be a decimal integer >= 1, got {env!r}")
+    return count
 
 
 @dataclass(frozen=True)
@@ -79,17 +88,14 @@ class Backend:
 
     @classmethod
     def parse(cls, text: str) -> "Backend":
-        """Parse 'serial', 'parallel', or 'parallel:<k>'."""
+        """Parse 'serial', 'parallel', or 'parallel:<k>' with ``k`` plain decimal."""
         if text == "serial":
             return cls.serial()
         if text == "parallel":
             return cls.parallel()
         if text.startswith("parallel:"):
-            try:
-                workers = int(text.split(":", 1)[1])
-            except ValueError:
-                pass
-            else:
+            workers = _worker_count(text[len("parallel:") :])
+            if workers is not None:
                 return cls.parallel(workers)
         raise ValueError(f"unknown backend {text!r}, expected 'serial' or 'parallel[:k]'")
 
@@ -137,10 +143,8 @@ class KernelPlan:
         max_chunks = max(1, span // floor_indices)
         n_chunks = min(backend.workers * 4, max_chunks)
         bounds = [start + (span * c) // n_chunks for c in range(n_chunks + 1)]
-        chunks = tuple(
-            (lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
-        )
-        return cls(start, stop, chunks)
+        # n_chunks <= span, so consecutive bounds differ by at least one
+        return cls(start, stop, tuple(zip(bounds[:-1], bounds[1:])))
 
     def __post_init__(self) -> None:
         prev = self.start

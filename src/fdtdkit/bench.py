@@ -12,6 +12,9 @@ Conventions used throughout, chosen once and stated here:
   resolution never dominates.
 * Oversized problems are skipped with a reason, never attempted: a skip
   record is an answer, a MemoryError mid-sweep is not.
+* Before a rate sweep times a backend, one byte gate compares a sha256
+  digest of its result with the first backend's. Only the digest is kept,
+  so a sweep holds one job's memory at a time, as its memory cap assumes.
 
 All randomness flows from an explicit seed through ``numpy.random.default_rng``;
 the same seed reproduces the same matrices, residuals, and record streams
@@ -20,12 +23,13 @@ bit for bit (timing fields aside).
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import statistics
 import time
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Sequence, Union
+from typing import Callable, ClassVar, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -147,6 +151,21 @@ def _timed_samples(op: Callable[[], object], repeats: int) -> list[float]:
             op()
         samples.append((time.perf_counter() - t0) / inner)
     return samples
+
+
+def _byte_gate(
+    reference: bytes | None, arrays: Iterable[np.ndarray], backend: Backend, first: Backend, on: str
+) -> bytes:
+    """The sha256 digest of the bytes of ``arrays``, in order; raise
+    ``AssertionError`` if it differs from ``reference``, the digest of
+    ``first`` backend's result: a fast wrong answer is not a benchmark result."""
+    h = hashlib.sha256()
+    for arr in arrays:
+        h.update(np.ascontiguousarray(arr))
+    digest = h.digest()
+    if reference is not None and digest != reference:
+        raise AssertionError(f"backend {backend} disagrees with {first} on {on}")
+    return digest
 
 
 # --- records --------------------------------------------------------------
@@ -407,8 +426,8 @@ def run_linsolve_bench(
     Problems whose footprint model exceeds the memory cap produce a skip
     record with reason ``MemoryLimit`` and are never allocated. Identical
     seeds give bitwise-identical matrices, solutions, and residuals. Before
-    timing, every backend's factors, pivots and solution are checked
-    byte-for-byte against the first backend's; a mismatch is a hard error.
+    timing, the byte gate checks every backend's factors, pivots and solution
+    against the first backend's; a mismatch is a hard error.
     """
     cap = default_memory_cap() if memory_cap_bytes is None else memory_cap_bytes
     workers = max((b.workers for b in backends), default=1)
@@ -439,13 +458,10 @@ def run_linsolve_bench(
                 with StencilExecutor(backend) as ex:
                     fac = lu_factor(a, backend, ex)
                     x = lu_solve(fac, b)
-                    blob = fac.lu.tobytes() + fac.perm.tobytes() + x.tobytes()
-                    if reference is None:
-                        reference = blob
-                    elif blob != reference:
-                        raise AssertionError(
-                            f"backend {backend} disagrees with {backends[0]} on n={n} {precision.value}"
-                        )
+                    on = f"n={n} {precision.value}"
+                    reference = _byte_gate(reference, (fac.lu, fac.perm, x), backend, backends[0], on)
+                    del fac  # the residual's |a| transient must not stack on the factors
+                    residual = relative_residual(a, x, b)
                     samples = _timed_samples(
                         lambda: lu_solve(lu_factor(a, backend, ex), b), repeats
                     )
@@ -459,7 +475,7 @@ def run_linsolve_bench(
                         elapsed_s=elapsed,
                         flops=flops,
                         gigaflops=flops / elapsed / 1e9,
-                        residual=relative_residual(a, x, b),
+                        residual=residual,
                     )
                 )
     return records
@@ -482,9 +498,8 @@ def run_fdtd_bench(
 
     Every config is checked against the memory cap before the first run, so
     an oversized sweep raises :class:`MemoryCapError` having allocated
-    nothing. Before timing, every backend's final snapshot is checked
-    byte-for-byte against the first backend's; a mismatch is a hard error
-    because a fast wrong answer is not a benchmark result.
+    nothing. Before timing, the byte gate checks every backend's final
+    snapshot against the first backend's; a mismatch is a hard error.
     """
     for config in configs:
         require_run_memory(config)
@@ -492,14 +507,9 @@ def run_fdtd_bench(
     for config in configs:
         reference: bytes | None = None
         for backend in backends:
-            series = run(config, backend=backend)
-            blob = b"".join(arr.tobytes() for arr in series.final.components().values())
-            if reference is None:
-                reference = blob
-            elif blob != reference:
-                raise AssertionError(
-                    f"backend {backend} disagrees with {backends[0]} on {config.shape}"
-                )
+            final = run(config, backend=backend).final.components().values()
+            reference = _byte_gate(reference, final, backend, backends[0], str(config.shape))
+            del final
             samples = _timed_samples(lambda: run(config, backend=backend), repeats)
             elapsed = statistics.median(samples)
             rec = FdtdBenchRecord(

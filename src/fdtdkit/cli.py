@@ -229,12 +229,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_simulate3d(args: argparse.Namespace) -> int:
     extent = (args.nx, args.ny, args.nz)
-    if args.source_cell is None:
-        location = tuple(n // 2 for n in extent)
-    elif len(args.source_cell) != 3:
-        raise ValueError("--source-cell needs exactly three comma-separated indices")
-    else:
-        location = tuple(args.source_cell)
+    cell = args.source_cell
+    location = tuple(n // 2 for n in extent) if cell is None else tuple(cell)
     return _simulate(args, extent, location, plane=args.plane_source)
 
 

@@ -88,7 +88,9 @@ from .model import (
     NonFiniteFieldError,
     SimulationConfig,
     SourceSpec,
+    all_finite,
     make_vacuum_materials,
+    require_matching,
     validate_stability,
 )
 
@@ -105,12 +107,7 @@ class UpdateCoefficients:
     chb: FloatArray
 
     def __post_init__(self) -> None:
-        shape = self.cea.shape
-        dtype = self.cea.dtype
-        for name in ("ceb", "cha", "chb"):
-            arr = getattr(self, name)
-            if arr.shape != shape or arr.dtype != dtype:
-                raise ValueError(f"{name} must match cea in shape and dtype")
+        require_matching(cea=self.cea, ceb=self.ceb, cha=self.cha, chb=self.chb)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -369,11 +366,7 @@ def step(
     its own factors and all arithmetic stays in the state's precision, and a
     source must lie inside the state's grid.
     """
-    if coeff.shape != state.ez.shape or coeff.dtype != state.ez.dtype:
-        raise ValueError(
-            f"coefficients {coeff.shape} {coeff.dtype} do not match "
-            f"the state {state.ez.shape} {state.ez.dtype}"
-        )
+    require_matching(ez=state.ez, cea=coeff.cea)
     if source is not None:
         source.validate_for_extent(state.ez.shape)
     n = state.step + 1
@@ -389,8 +382,7 @@ def step(
 def _checked(state: FieldState) -> FieldState:
     """Return ``state``, or raise :class:`NonFiniteFieldError` on its first bad component."""
     for name, arr in state.components().items():
-        # min and max propagate NaN, so the two bound every cell
-        if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+        if not all_finite(arr):
             raise NonFiniteFieldError(state.step, name)
     return state
 

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backends import Backend, KernelPlan, StencilExecutor, execute_stencil
-from .model import FloatArray
+from .model import FloatArray, all_finite
 
 _SERIAL = Backend.serial()
 
@@ -91,19 +91,14 @@ class LuFactorization:
         return self.lu.shape[0]
 
 
-def _require_finite(arr: np.ndarray, name: str) -> None:
-    # min and max propagate NaN, so the two bound every entry
-    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
-        raise ValueError(f"{name} must be finite everywhere")
-
-
 def _as_square_float(a: FloatArray) -> FloatArray:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise ValueError(f"dtype must be float32 or float64, got {a.dtype}")
-    _require_finite(a, "a")
+    if not all_finite(a):
+        raise ValueError("a must be finite everywhere")
     return a
 
 
@@ -185,7 +180,8 @@ def lu_solve(factorization: LuFactorization, b: FloatArray) -> FloatArray:
     b = np.asarray(b)
     if b.shape != (n,):
         raise ValueError(f"b must have shape ({n},), got {b.shape}")
-    _require_finite(b, "b")
+    if not all_finite(b):
+        raise ValueError("b must be finite everywhere")
     x = b[factorization.perm].astype(lu.dtype, copy=True)
     for i in range(1, n):
         x[i] -= lu[i, :i] @ x[:i]

@@ -98,6 +98,23 @@ def validate_stability(dims: int, courant: float) -> None:
         raise UnstableCourantError(dims, courant, bound)
 
 
+def require_matching(**arrays: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every array matches the first in shape and dtype."""
+    (first_name, first), *rest = arrays.items()
+    for name, arr in rest:
+        if arr.shape != first.shape or arr.dtype != first.dtype:
+            raise ValueError(
+                f"{first_name} {first.shape} {first.dtype} and {name} {arr.shape} {arr.dtype} "
+                "do not match in shape and dtype"
+            )
+
+
+def all_finite(arr: np.ndarray) -> bool:
+    """True unless ``arr`` holds NaN or Inf; an empty array is finite."""
+    # min and max propagate NaN, so the two bound every entry
+    return arr.size == 0 or bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
+
+
 Location = Union[int, tuple[int, int, int]]
 
 
@@ -132,26 +149,17 @@ class SourceSpec:
         phase = 2.0 * math.pi * (n - self.tstart) * deltat / self.n_lambda
         return self.amplitude * math.sin(phase)
 
-    def validate_for_extent(self, extent: int | tuple[int, ...]) -> None:
-        """Check the location sits strictly inside a grid extent or array shape."""
-        if not isinstance(extent, int) and len(extent) == 1:
-            extent = extent[0]
-        if isinstance(extent, int):
-            if not isinstance(self.location, int):
-                raise ValueError("1D source location must be a single index")
-            if self.plane:
-                raise ValueError("plane sources are only meaningful in 3D")
-            if not 1 <= self.location <= extent - 2:
-                raise ValueError(
-                    f"source cell {self.location} outside interior [1, {extent - 2}]"
-                )
-            return
-        loc = self.location
-        if not (isinstance(loc, tuple) and len(loc) == 3):
-            raise ValueError("3D source location must be an (i, j, k) triple")
-        axes = loc[:1] if self.plane else loc
-        sizes = extent[:1] if self.plane else extent
-        for idx, size in zip(axes, sizes):
+    def validate_for_extent(self, shape: tuple[int, ...]) -> None:
+        """Check the location holds one integer index per axis of ``shape``,
+        each strictly inside its axis; a plane source checks only x."""
+        loc = self.location if isinstance(self.location, tuple) else (self.location,)
+        if len(loc) != len(shape) or not all(isinstance(i, (int, np.integer)) for i in loc):
+            raise ValueError(
+                f"source location {self.location!r} needs one integer index per axis of {shape}"
+            )
+        if self.plane and len(shape) != 3:
+            raise ValueError("plane sources are only meaningful in 3D")
+        for idx, size in zip(loc[:1] if self.plane else loc, shape):
             if not 1 <= idx <= size - 2:
                 raise ValueError(f"source index {idx} outside interior [1, {size - 2}]")
 
@@ -170,16 +178,11 @@ class MaterialGrid:
     sigma_star: FloatArray
 
     def __post_init__(self) -> None:
-        shape = self.epsilon.shape
-        dtype = self.epsilon.dtype
-        for name in ("mu", "sigma", "sigma_star"):
-            arr = getattr(self, name)
-            if arr.shape != shape:
-                raise ValueError(f"{name} shape {arr.shape} != epsilon shape {shape}")
-            if arr.dtype != dtype:
-                raise ValueError(f"{name} dtype {arr.dtype} != epsilon dtype {dtype}")
-        if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-            raise ValueError(f"material dtype must be float32 or float64, got {dtype}")
+        require_matching(
+            epsilon=self.epsilon, mu=self.mu, sigma=self.sigma, sigma_star=self.sigma_star
+        )
+        if self.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
+            raise ValueError(f"material dtype must be float32 or float64, got {self.dtype}")
         low = {}
         for name in ("epsilon", "mu", "sigma", "sigma_star"):
             arr = getattr(self, name)
@@ -268,7 +271,7 @@ class SimulationConfig:
         if self.courant is None:
             object.__setattr__(self, "courant", 1.0 if self.dims == 1 else 0.5)
         validate_stability(self.dims, self.courant)
-        self.source.validate_for_extent(self.extent)
+        self.source.validate_for_extent(self.shape)
 
     @property
     def dims(self) -> int:
@@ -311,10 +314,7 @@ class _FieldState:
             raise ValueError(
                 f"{type(self).__name__} arrays must have ndim {self.NDIM}, got shape {first.shape}"
             )
-        for name in self.NAMES[1:]:
-            arr = getattr(self, name)
-            if arr.shape != first.shape or arr.dtype != first.dtype:
-                raise ValueError(f"{name} must match {self.NAMES[0]} in shape and dtype")
+        require_matching(**self.components())
 
     @classmethod
     def zeros(

@@ -1,5 +1,7 @@
 """Work partitioning and the serial/parallel equivalence contract."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -22,8 +24,12 @@ def test_backend_parse_roundtrip():
 
 
 def test_backend_parse_rejects_unknown():
-    for text in ("gpu", "parallel:x", "parallel:"):
-        with pytest.raises(ValueError, match=f"unknown backend '{text}'"):
+    # k is plain decimal: no underscore, space, sign, leading zero or non-ASCII digit
+    for text in (
+        "gpu", "parallel:x", "parallel:",
+        "parallel:1_0", "parallel: 2", "parallel:+2", "parallel:02", "parallel:\uff12",
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"unknown backend {text!r}")):
             Backend.parse(text)
     with pytest.raises(ValueError, match=">= 1"):
         Backend.parse("parallel:0")
@@ -39,9 +45,10 @@ def test_worker_count_env_override(monkeypatch):
     with pytest.raises(ValueError):
         default_worker_count()
     # a non-integer names the variable, so the CLI's exit-2 message says what to fix
-    monkeypatch.setenv(WORKERS_ENV_VAR, "abc")
-    with pytest.raises(ValueError, match=WORKERS_ENV_VAR):
-        default_worker_count()
+    for text in ("abc", "1_0", " 4", "+2"):
+        monkeypatch.setenv(WORKERS_ENV_VAR, text)
+        with pytest.raises(ValueError, match=WORKERS_ENV_VAR):
+            default_worker_count()
 
 
 def test_plan_single_chunk_when_small_or_serial():

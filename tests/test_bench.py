@@ -1,5 +1,7 @@
 """Benchmark arithmetic, record invariants, skip behavior, determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,15 +24,9 @@ from fdtdkit.bench import (
     run_fdtd_bench,
     run_linsolve_bench,
 )
-from fdtdkit.engine import run_footprint_bytes
+from fdtdkit.engine import run, run_footprint_bytes
+from fdtdkit.linalg import lu_factor, lu_solve, relative_residual
 from fdtdkit.model import Precision, SimulationConfig, SourceSpec
-
-
-@pytest.fixture
-def fast_timing(monkeypatch):
-    # shrink the measurement window so unit tests stay quick; the arithmetic
-    # under test is independent of the window length
-    monkeypatch.setattr(bench, "MIN_WINDOW_S", 0.001)
 
 
 def test_bandwidth_from_known_figures():
@@ -145,6 +141,23 @@ def test_linsolve_bench_rejects_a_backend_that_disagrees(fast_timing, monkeypatc
         )
 
 
+def test_fdtd_bench_rejects_a_backend_that_disagrees(fast_timing, monkeypatch):
+    # one ulp in the last component's last cell, on parallel backends only
+    exact_run = bench.run
+
+    def off_by_one_ulp(config, backend):
+        series = exact_run(config, backend=backend)
+        if backend.is_parallel:
+            hy = series.final.hy
+            hy[-1] = np.nextafter(hy[-1], np.inf)
+        return series
+
+    monkeypatch.setattr(bench, "run", off_by_one_ulp)
+    cfg = SimulationConfig(extent=64, time_tot=4, source=SourceSpec(location=32))
+    with pytest.raises(AssertionError, match=r"parallel:2 disagrees with serial on \(64,\)"):
+        run_fdtd_bench([cfg], backends=[Backend.serial(), Backend.parallel(2)])
+
+
 def _record(n=256, precision=Precision.DOUBLE, backend=None, gigaflops=10.0):
     return SolveBenchRecord(
         n=n, precision=precision,
@@ -244,3 +257,55 @@ def test_json_schema_keys():
     untimed = _record().to_json_dict(include_timing=False)
     assert untimed["elapsed_s"] is None and untimed["gigaflops"] is None
     assert untimed["flops"] == flop_count(256)
+
+
+def _traced_peak(op) -> int:
+    """Peak bytes that tracemalloc sees while ``op()`` runs."""
+    tracemalloc.start()
+    try:
+        op()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+SWEEP_BACKENDS = pytest.mark.parametrize(
+    "backends",
+    [(Backend.serial(),), (Backend.serial(), Backend.parallel(2))],
+    ids=["serial", "serial+parallel2"],
+)
+
+
+@SWEEP_BACKENDS
+@pytest.mark.parametrize(
+    "config",
+    [
+        SimulationConfig(extent=2**16, time_tot=10, source=SourceSpec(location=2**15)),
+        SimulationConfig(
+            extent=(24, 24, 24), time_tot=5, precision=Precision.SINGLE,
+            source=SourceSpec(location=(12, 12, 12)),
+        ),
+    ],
+    ids=["1d-f64", "3d-f32"],
+)
+def test_fdtd_sweep_holds_one_jobs_memory_at_a_time(fast_timing, config, backends):
+    # the byte gate keeps a digest, not the fields, so timing a backend
+    # stacks nothing on the run it times; the memory cap assumes as much
+    job = _traced_peak(lambda: run(config))
+    sweep = _traced_peak(lambda: run_fdtd_bench([config], backends=backends))
+    assert sweep <= 1.15 * job
+
+
+@SWEEP_BACKENDS
+def test_linsolve_sweep_holds_one_jobs_memory_at_a_time(fast_timing, backends):
+    n, precision = 512, Precision.DOUBLE
+
+    def job():
+        a, b = bench._solve_problem(n, precision, 0)
+        x = lu_solve(lu_factor(a), b)
+        relative_residual(a, x, b)
+
+    sweep = _traced_peak(
+        lambda: run_linsolve_bench([n], precisions=[precision], backends=backends)
+    )
+    assert sweep <= 1.15 * _traced_peak(job)

@@ -22,11 +22,6 @@ from fdtdkit.engine import SnapshotSeries, run
 from fdtdkit.model import FieldState1D, FieldState3D, Precision, SimulationConfig, SourceSpec
 
 
-@pytest.fixture
-def fast_timing(monkeypatch):
-    monkeypatch.setattr(bench, "MIN_WINDOW_S", 0.001)
-
-
 def test_simulate_defaults():
     args = build_parser().parse_args(["simulate"])
     assert args.xdim == 200
@@ -57,8 +52,9 @@ def test_unstable_courant_is_exit_2_and_names_the_bound(capsys):
 
 
 def test_bad_worker_count_is_exit_2_and_names_the_text(capsys):
-    assert main(["simulate", "--backend", "parallel:x", "--xdim", "8", "--steps", "1"]) == 2
-    assert "parallel:x" in capsys.readouterr().err
+    for text in ("parallel:x", "parallel:1_0", "parallel: 2", "parallel:+2", "parallel:02"):
+        assert main(["simulate", "--backend", text, "--xdim", "8", "--steps", "1"]) == 2
+        assert text in capsys.readouterr().err
 
 
 def test_unwritable_output_is_exit_1(tmp_path):

@@ -77,6 +77,28 @@ def test_plane_source_rejected_in_1d():
         SimulationConfig(extent=10, time_tot=1, source=SourceSpec(location=5, plane=True))
 
 
+@pytest.mark.parametrize(
+    "extent, location",
+    [((8, 8, 8), (4, 4, 4.0)), ((8, 8, 8), (4, 4)), ((8, 8, 8), 4), (10, (1, 2, 3)), (10, 5.0)],
+)
+def test_source_location_needs_one_integer_index_per_axis(extent, location):
+    # rejected by the config, not by an IndexError once the run has started
+    with pytest.raises(ValueError, match="one integer index per axis"):
+        SimulationConfig(extent=extent, time_tot=2, source=SourceSpec(location=location))
+
+
+@pytest.mark.parametrize(
+    "extent, location",
+    [(10, np.int64(5)), ((8, 8, 8), (np.int32(4), np.int64(3), 4))],
+)
+def test_numpy_integer_source_indices_run_like_python_ints(extent, location):
+    cfg = SimulationConfig(extent=extent, time_tot=6, source=SourceSpec(location=location))
+    as_int = int(location) if np.ndim(location) == 0 else tuple(int(i) for i in location)
+    ref = SimulationConfig(extent=extent, time_tot=6, source=SourceSpec(location=as_int))
+    for got, want in zip(run(cfg).final.components().values(), run(ref).final.components().values()):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_config_defaults_and_deltat():
     cfg = SimulationConfig(extent=200, time_tot=50, source=SourceSpec(location=100))
     assert cfg.dims == 1

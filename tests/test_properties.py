@@ -303,3 +303,17 @@ def test_blocked_factor_is_bitwise_serial_and_reconstructs_the_matrix(data):
     upper = np.triu(serial.lu).astype(np.float64)
     error = np.abs(lower @ upper - a[serial.perm].astype(np.float64))
     assert (error <= residual_bound(n, precision.eps) * (np.abs(lower) @ np.abs(upper))).all()
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    text=st.text()
+    | st.from_regex(r"[ +\-0_]?[0-9]{1,3}(_[0-9])?[ ]?", fullmatch=True)
+    | st.integers(0, 10**20).map(str)
+)
+def test_every_accepted_worker_count_round_trips_through_str(text):
+    try:
+        backend = Backend.parse("parallel:" + text)
+    except ValueError:
+        return
+    assert str(backend) == "parallel:" + text
