@@ -14,7 +14,9 @@ backend says.
 
 Every kernel runs through :func:`execute_stencil` on a
 :class:`StencilExecutor` that the caller has entered; the executor only owns
-the worker pool's lifetime.
+the worker pool's lifetime. The pool starts its threads as chunks are
+submitted, so :func:`execute_stencil` is where a thread that cannot start
+raises :class:`BackendResourceError`.
 
 A backend is named ``serial``, ``parallel`` (``FDTDKIT_WORKERS`` workers,
 else one per CPU) or ``parallel:<k>``. ``k`` and the variable are plain
@@ -42,7 +44,7 @@ Kernel = Callable[[int, int], None]
 
 
 class BackendResourceError(RuntimeError):
-    """Worker pool could not be created or came up unusable."""
+    """A worker thread of the pool could not be started."""
 
 
 def _worker_count(text: str) -> int | None:
@@ -172,12 +174,7 @@ class StencilExecutor:
 
     def __enter__(self) -> "StencilExecutor":
         if self.backend.workers > 1:
-            try:
-                self._pool = ThreadPoolExecutor(max_workers=self.backend.workers)
-            except Exception as exc:
-                raise BackendResourceError(
-                    f"could not start {self.backend.workers}-thread pool: {exc}"
-                ) from exc
+            self._pool = ThreadPoolExecutor(max_workers=self.backend.workers)
         return self
 
     def __exit__(self, *exc_info) -> None:
@@ -196,16 +193,25 @@ def execute_stencil(
 
     The one path by which any kernel runs. Single-chunk plans (and serial
     backends, by construction) run inline on the caller's thread, as does
-    every plan on an executor without a pool. Worker failures surface after
-    all submitted chunks have settled, so a raise can never leave threads
-    still writing. ``backend`` is the one the plan was built for.
+    every plan on an executor without a pool. Worker failures, and a thread
+    that cannot start (:class:`BackendResourceError`), surface after all
+    submitted chunks have settled, so a raise can never leave threads still
+    writing. ``backend`` is the one the plan was built for.
     """
     pool = executor._pool
     if len(plan.chunks) <= 1 or pool is None:
         for lo, hi in plan.chunks:
             kernel(lo, hi)
         return
-    futures: list[Future] = [pool.submit(kernel, lo, hi) for lo, hi in plan.chunks]
+    futures: list[Future] = []
+    try:
+        for lo, hi in plan.chunks:
+            futures.append(pool.submit(kernel, lo, hi))
+    except RuntimeError as exc:
+        # the refused chunk was queued before its thread failed to start, and
+        # a running worker may still take it: joining the pool settles it too
+        pool.shutdown(wait=True)
+        raise BackendResourceError(f"{executor.backend} could not start a worker thread: {exc}") from exc
     wait(futures)
     for fut in futures:
         exc = fut.exception()

@@ -104,13 +104,19 @@ def bandwidth_summary_lines(records: Sequence[BandwidthRecord]) -> list[str]:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part]
+        values = [int(part) for part in text.split(",") if part]
     except ValueError:
+        values = []
+    if not values:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return values
 
 
 def _backend_list(text: str) -> list[Backend]:
-    return [Backend.parse(part) for part in text.split(",") if part]
+    backends = [Backend.parse(part) for part in text.split(",") if part]
+    if not backends:
+        raise argparse.ArgumentTypeError(f"expected comma-separated backends, got {text!r}")
+    return backends
 
 
 def _precision_list(text: str) -> list[Precision]:

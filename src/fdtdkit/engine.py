@@ -109,14 +109,6 @@ class UpdateCoefficients:
     def __post_init__(self) -> None:
         require_matching(cea=self.cea, ceb=self.ceb, cha=self.cha, chb=self.chb)
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.cea.shape
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self.cea.dtype
-
     @classmethod
     def from_materials(
         cls, materials: MaterialGrid, deltat: float, delta: float

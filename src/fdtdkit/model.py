@@ -109,6 +109,12 @@ def require_matching(**arrays: np.ndarray) -> None:
             )
 
 
+def require_float_dtype(name: str, dtype: np.dtype) -> None:
+    """Raise ``ValueError`` unless ``dtype`` is float32 or float64, the two precisions."""
+    if dtype not in (Precision.SINGLE.dtype, Precision.DOUBLE.dtype):
+        raise ValueError(f"{name} dtype must be float32 or float64, got {dtype}")
+
+
 def all_finite(arr: np.ndarray) -> bool:
     """True unless ``arr`` holds NaN or Inf; an empty array is finite."""
     # min and max propagate NaN, so the two bound every entry
@@ -153,7 +159,8 @@ class SourceSpec:
         """Check the location holds one integer index per axis of ``shape``,
         each strictly inside its axis; a plane source checks only x."""
         loc = self.location if isinstance(self.location, tuple) else (self.location,)
-        if len(loc) != len(shape) or not all(isinstance(i, (int, np.integer)) for i in loc):
+        ints = all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in loc)
+        if len(loc) != len(shape) or not ints:
             raise ValueError(
                 f"source location {self.location!r} needs one integer index per axis of {shape}"
             )
@@ -181,8 +188,7 @@ class MaterialGrid:
         require_matching(
             epsilon=self.epsilon, mu=self.mu, sigma=self.sigma, sigma_star=self.sigma_star
         )
-        if self.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-            raise ValueError(f"material dtype must be float32 or float64, got {self.dtype}")
+        require_float_dtype("material", self.dtype)
         low = {}
         for name in ("epsilon", "mu", "sigma", "sigma_star"):
             arr = getattr(self, name)

@@ -1,6 +1,9 @@
 """Work partitioning and the serial/parallel equivalence contract."""
 
 import re
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,11 +12,15 @@ from fdtdkit.backends import (
     MIN_CHUNK_CELLS,
     WORKERS_ENV_VAR,
     Backend,
+    BackendResourceError,
     KernelPlan,
     StencilExecutor,
     default_worker_count,
     execute_stencil,
 )
+from fdtdkit.engine import run
+from fdtdkit.linalg import lu_factor
+from fdtdkit.model import SimulationConfig, SourceSpec
 
 
 def test_backend_parse_roundtrip():
@@ -143,3 +150,68 @@ def test_executor_reuse_and_worker_exceptions():
         with pytest.raises(RuntimeError, match="kernel failure"):
             execute_stencil(boom, KernelPlan.for_range(0, out.shape[0], backend), backend, ex)
 
+
+def test_backend_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="'serial' or 'parallel'"):
+        Backend("gpu")
+
+
+def test_plan_rejects_a_bad_cell_scale_and_a_chunkless_range():
+    with pytest.raises(ValueError, match="cells_per_index"):
+        KernelPlan.for_range(0, 10, Backend.serial(), cells_per_index=0)
+    with pytest.raises(ValueError, match="at least one chunk"):
+        KernelPlan(0, 10, ())
+
+
+def test_entering_an_executor_starts_no_thread():
+    # threads start with the first submits, so an entered pool costs no start-up
+    before = threading.active_count()
+    with StencilExecutor(Backend.parallel(4)):
+        assert threading.active_count() == before
+
+
+def test_a_thread_that_cannot_start_is_a_backend_resource_error(refused_thread_starts):
+    backend = Backend.parallel(2)
+    plan = KernelPlan.for_range(0, 4 * MIN_CHUNK_CELLS, backend)
+    with StencilExecutor(backend) as ex:
+        with pytest.raises(BackendResourceError, match="parallel:2") as err:
+            execute_stencil(lambda lo, hi: None, plan, backend, ex)
+    assert isinstance(err.value.__cause__, RuntimeError)
+
+
+def test_a_refused_submit_raises_once_the_submitted_chunks_have_returned(monkeypatch):
+    submit = ThreadPoolExecutor.submit
+    submits = []
+
+    def second_refused(self, fn, /, *args):
+        submits.append(args)
+        if len(submits) > 1:
+            raise RuntimeError("can't start new thread")
+        return submit(self, fn, *args)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", second_refused)
+    returned = []
+
+    def slow(lo, hi):
+        time.sleep(0.05)
+        returned.append((lo, hi))
+
+    backend = Backend.parallel(2)
+    plan = KernelPlan.for_range(0, 4 * MIN_CHUNK_CELLS, backend)
+    with StencilExecutor(backend) as ex:
+        with pytest.raises(BackendResourceError):
+            execute_stencil(slow, plan, backend, ex)
+        # no thread is still writing when the error reaches the caller
+        assert returned == [plan.chunks[0]]
+    assert len(submits) == 2
+
+
+def test_run_and_lu_factor_report_a_thread_that_cannot_start(refused_thread_starts):
+    backend = Backend.parallel(2)
+    config = SimulationConfig(extent=2**14, time_tot=2, source=SourceSpec(location=2**13))
+    with pytest.raises(BackendResourceError, match="parallel:2"):
+        run(config, backend=backend)
+    # n = 256 leaves two tiles to split after the first panel
+    a = np.eye(256) + 1.0
+    with pytest.raises(BackendResourceError, match="parallel:2"):
+        lu_factor(a, backend)

@@ -9,6 +9,7 @@ import fdtdkit.bench as bench
 from fdtdkit.backends import Backend
 from fdtdkit.bench import (
     BandwidthRecord,
+    FdtdBenchRecord,
     InsufficientSamplesError,
     MemoryCapError,
     MismatchedPairError,
@@ -190,6 +191,20 @@ def test_speedup_rejects_mismatched_pairs():
     )
     with pytest.raises(MismatchedPairError):
         compute_speedup(skip, serial)
+
+
+def test_speedup_rejects_records_of_different_benches():
+    fdtd = FdtdBenchRecord(
+        cells=256, steps=4, precision=Precision.DOUBLE, backend=Backend.parallel(2),
+        elapsed_s=1.0, updates_per_s=2048.0,
+    )
+    with pytest.raises(MismatchedPairError, match="bench kinds differ"):
+        compute_speedup(fdtd, _record())
+
+
+def test_linsolve_bench_rejects_an_order_below_one():
+    with pytest.raises(NonPositiveInputError, match="matrix order"):
+        run_linsolve_bench([0])
 
 
 def test_fdtd_cell_updates_formula():

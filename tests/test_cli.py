@@ -57,6 +57,52 @@ def test_bad_worker_count_is_exit_2_and_names_the_text(capsys):
         assert text in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bench-linsolve", "--sizes", ""], "argument --sizes"),
+        (["bench-linsolve", "--backends", ","], "argument --backends"),
+        (["bench-fdtd", "--xdim", ""], "argument --xdim"),
+        (["bench-bandwidth", "--bytes", ""], "argument --bytes"),
+        (["bench-linsolve", "--sizes", "a"], "argument --sizes"),
+        (["bench-linsolve", "--sizes", "0"], "matrix order must be >= 1"),
+        (["simulate", "--xdim", "8", "--tstart", "-1"], "tstart"),
+        (["simulate", "--xdim", "8", "--amplitude", "inf"], "amplitude must be finite"),
+        (["simulate", "--xdim", "8", "--delta", "0"], "delta"),
+        (["simulate", "--xdim", "8", "--steps", "0"], "time_tot"),
+        (["simulate", "--xdim", "8", "--snapshot-every", "-1"], "snapshot_every"),
+    ],
+    ids=[
+        "empty-sizes", "empty-backends", "empty-xdim", "empty-bytes", "sizes-not-int",
+        "order-0", "tstart", "amplitude", "delta", "steps", "snapshot-every",
+    ],
+)
+def test_rejected_values_are_exit_2_and_name_the_problem(argv, message, tmp_path, capsys):
+    # an empty sweep is a usage error, not an empty output
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--xdim", "16384", "--steps", "2", "--backend", "parallel:2"],
+        ["bench-linsolve", "--sizes", "256", "--precision", "double", "--backends", "parallel:2"],
+    ],
+    ids=["simulate", "bench-linsolve"],
+)
+def test_a_thread_that_cannot_start_is_exit_1_without_a_traceback(
+    argv, refused_thread_starts, tmp_path, capsys
+):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("fdtdkit: error: parallel:2 could not start a worker thread")
+    assert not out.exists()
+
+
 def test_unwritable_output_is_exit_1(tmp_path):
     code = main([
         "simulate", "--xdim", "8", "--steps", "1",

@@ -2,12 +2,13 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fdtdkit.backends import Backend
-from fdtdkit.engine import UpdateCoefficients, run, step
+from fdtdkit.engine import SnapshotSeries, UpdateCoefficients, run, step
 from fdtdkit.model import (
     FieldState1D,
     FieldState3D,
@@ -335,6 +336,14 @@ def test_snapshot_cadence():
     assert run(aligned).steps == (10, 20, 30)
     final_only = SimulationConfig(extent=20, time_tot=35, source=SourceSpec(location=10))
     assert run(final_only).steps == (35,)
+
+
+def test_snapshot_series_needs_increasing_steps_and_a_state_for_final():
+    state = FieldState1D.zeros(4)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        SnapshotSeries(states=(replace(state, step=2), replace(state, step=2)))
+    with pytest.raises(ValueError, match="empty snapshot series"):
+        SnapshotSeries(states=()).final
 
 
 def test_run_rejects_mismatched_materials():

@@ -89,6 +89,14 @@ def test_factor_rejects_bad_inputs():
         LuFactorization(lu=np.ones((2, 2)), perm=np.array([0, 1, 2]))
 
 
+def test_factors_and_right_hand_side_must_fit():
+    with pytest.raises(ValueError, match="square"):
+        LuFactorization(lu=np.ones((2, 3)), perm=np.arange(2))
+    fac = lu_factor(np.array([[2.0, 1.0], [1.0, 1.0]]))
+    with pytest.raises(ValueError, match=r"b must have shape \(2,\)"):
+        lu_solve(fac, np.ones(3))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_factor_and_solve_reject_non_finite_input(bad):
     with pytest.raises(ValueError, match="finite"):
@@ -216,6 +224,24 @@ def test_factor_and_solve_peak_memory_is_within_the_solve_model(precision, backe
         tracemalloc.start()
         try:
             lu_solve(lu_factor(a, backend, ex), b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # the caller's matrix and right-hand side were allocated before tracing
+    assert peak <= budget - a.nbytes
+
+
+def test_residual_with_the_factors_alive_is_within_the_solve_model():
+    # perfbench's lu-dense job takes the residual while it still holds the
+    # factors, so the norm of a must not need an n x n transient of its own
+    n, precision, backend = 1024, Precision.DOUBLE, Backend.parallel(2)
+    a, b = _solve_problem(n, precision, 3)
+    budget = estimate_solve_bytes(n, precision) + workspace_bytes(n, a.dtype, backend.workers)
+    with StencilExecutor(backend) as ex:
+        tracemalloc.start()
+        try:
+            fac = lu_factor(a, backend, ex)
+            relative_residual(a, lu_solve(fac, b), b)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

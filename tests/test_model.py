@@ -10,6 +10,7 @@ from fdtdkit.model import (
     C0,
     EPS0,
     MU0,
+    FieldState1D,
     MaterialGrid,
     NonFiniteFieldError,
     Precision,
@@ -79,7 +80,11 @@ def test_plane_source_rejected_in_1d():
 
 @pytest.mark.parametrize(
     "extent, location",
-    [((8, 8, 8), (4, 4, 4.0)), ((8, 8, 8), (4, 4)), ((8, 8, 8), 4), (10, (1, 2, 3)), (10, 5.0)],
+    [
+        ((8, 8, 8), (4, 4, 4.0)), ((8, 8, 8), (4, 4)), ((8, 8, 8), 4), (10, (1, 2, 3)), (10, 5.0),
+        # indexing with a bool drives every cell of its axis: all 16, or the line ez[4, 4, :]
+        (16, True), ((8, 8, 8), (True, 4, 4)), (16, np.True_),
+    ],
 )
 def test_source_location_needs_one_integer_index_per_axis(extent, location):
     # rejected by the config, not by an IndexError once the run has started
@@ -241,9 +246,45 @@ def _materials_with(name, value):
         _materials_with("sigma_star", math.inf),
         _materials_with("epsilon", math.inf),
         _materials_with("mu", math.inf),
+        lambda: SourceSpec(location=5, amplitude=math.nan),
+        lambda: SourceSpec(location=5, amplitude=-math.inf),
+        lambda: SimulationConfig(extent=10, time_tot=1, source=SourceSpec(location=5), delta=math.nan),
     ],
-    ids=["n_lambda-nan", "n_lambda-inf", "sigma-nan", "sigma_star-inf", "epsilon-inf", "mu-inf"],
+    ids=[
+        "n_lambda-nan", "n_lambda-inf", "sigma-nan", "sigma_star-inf", "epsilon-inf", "mu-inf",
+        "amplitude-nan", "amplitude-inf", "delta-nan",
+    ],
 )
 def test_non_finite_inputs_rejected(build):
     with pytest.raises(ValueError, match="finite"):
+        build()
+
+
+def _config(**overrides):
+    fields = {"extent": 10, "time_tot": 1, "source": SourceSpec(location=5), **overrides}
+    return lambda: SimulationConfig(**fields)
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: SourceSpec(location=5, tstart=-1), "tstart"),
+        (lambda: MaterialGrid(*(np.ones(5, np.int64) for _ in range(4))), "float32 or float64"),
+        (_materials_with("mu", 0.0), "mu must be positive"),
+        (_materials_with("mu", -1.0), "mu must be positive"),
+        (lambda: make_vacuum_materials(10, units="imperial"), "units"),
+        (_config(extent=(8, 8), source=SourceSpec(location=(4, 4))), "three axes"),
+        (_config(delta=0.0), "delta"),
+        (_config(time_tot=0), "time_tot"),
+        (_config(snapshot_every=-1), "snapshot_every"),
+        (_config(units="imperial"), "units"),
+        (lambda: FieldState1D(ez=np.zeros((4, 4)), hy=np.zeros((4, 4))), "ndim 1"),
+    ],
+    ids=[
+        "tstart", "material-dtype", "mu-zero", "mu-negative", "vacuum-units", "extent-2d",
+        "delta-zero", "time_tot", "snapshot_every", "config-units", "state-ndim",
+    ],
+)
+def test_invalid_configuration_is_rejected(build, match):
+    with pytest.raises(ValueError, match=match):
         build()
