@@ -140,10 +140,10 @@ class KernelPlan:
         total_cells = span * cells_per_index
         if backend.workers == 1 or total_cells < 2 * MIN_CHUNK_CELLS:
             return cls(start, stop, ((start, stop),))
-        # Aim for a few chunks per worker, but never drop below the cell floor.
+        # One chunk per worker, but never drop below the cell floor.
         floor_indices = max(1, math.ceil(MIN_CHUNK_CELLS / cells_per_index))
         max_chunks = max(1, span // floor_indices)
-        n_chunks = min(backend.workers * 4, max_chunks)
+        n_chunks = min(backend.workers, max_chunks)
         bounds = [start + (span * c) // n_chunks for c in range(n_chunks + 1)]
         # n_chunks <= span, so consecutive bounds differ by at least one
         return cls(start, stop, tuple(zip(bounds[:-1], bounds[1:])))

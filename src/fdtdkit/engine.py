@@ -29,10 +29,18 @@ config knows a state's dimensionality. A run plans the leading axis once for
 its executor's backend, and one pass over the plan's chunks builds the rows
 of both half-steps; every step hands the H kernel and then the E kernel to
 :func:`~fdtdkit.backends.execute_stencil`, the one path that runs kernels.
+Every row is one contiguous range of a component viewed flat. A term along
+axis ``a`` reads its neighbour ``stride_a = prod(shape[a+1:])`` cells away,
+so with ``reach`` the row's largest stride, H rows cover ``[0, size -
+reach)`` and E rows ``[reach, size)``; each chunk of slabs takes its share.
+Frozen cells on a face of a trailing axis (index ``n-1`` along an H term's
+axis, 0 along an E term's) lie inside that range and read a neighbour
+wrapped round from the next row or plane, so each chunk saves its slabs'
+faces before its updates and writes them back after, on every half-step:
+a plane source writes frozen ``ez`` cells every step.
 
-Each chunk's row of a component is split along the leading axis into runs
-of two forms, decided per field from that field's coefficients over the
-cells the row updates:
+A row splits into runs of two forms, found in blocks of
+``MIN_CHUNK_CELLS`` cells from the field's coefficients:
 
 * a uniform run, where ``ca == 1`` exactly and ``cb`` holds one value bit
   for bit, stores that value as a scalar of the array dtype and computes
@@ -41,9 +49,8 @@ cells the row updates:
 
 Both give the same bits for every cell: ``1*f == f`` exactly, a dtype
 scalar times the curl is the per-cell product, and ``+`` and ``*`` commute
-bitwise. A uniform run shorter than the chunk floor stays general, so a
-medium that varies cell by cell is one general run; vacuum is one uniform
-run, and reads two arrays fewer per update. Both forms write through
+bitwise. A medium that varies cell by cell is one general run; vacuum is
+uniform but for each row's last partial block. Both forms write through
 ``out=`` into scratch buffers that a run allocates once per chunk and that
 the chunk's H and E rows share, so a step allocates nothing.
 
@@ -204,17 +211,14 @@ def _curl_terms(names: tuple[str, ...]) -> int:
     return max(sum(g in names for g, _ in _CURL[name]) for name in names)
 
 
-def _curl_rows(state: FieldState, field: str, lo: int, hi: int) -> list[tuple]:
-    """Chunk ``[lo, hi)`` of each ``field`` ("h" or "e") component that ``state``
-    holds, with the curl terms whose neighbour it holds too.
+def _curl_rows(state: FieldState, field: str, ca, cb, lo: int, hi: int) -> list[tuple]:
+    """Slabs ``[lo, hi)`` of each ``field`` ("h" or "e") component that
+    ``state`` holds, with the curl terms whose neighbour it holds too.
 
-    A row is ``(f, s, diffs)``: the component, the slices of the cells it
-    updates, and per term the two views whose difference the term is: the
-    neighbour on the cells shifted one step along the term's axis and on the
-    cells themselves, shifted minus own for H and own minus shifted for E.
-    Only cells whose shifted neighbour exists along every such axis update;
-    the others stay frozen, so H loses its high face and E its low face along
-    those axes.
+    A row is ``(f, ca, cb, diffs, faces)``: flat views of the component and
+    its coefficients on the cells it updates, per term the two views whose
+    difference the term is (shifted minus own for H, own minus shifted for
+    E), and the slabs' frozen faces along the terms' trailing axes.
     """
     d = 1 if field == "h" else -1
     arrays = state.components()
@@ -223,65 +227,61 @@ def _curl_rows(state: FieldState, field: str, lo: int, hi: int) -> list[tuple]:
         if name[0] != field or name not in arrays:
             continue
         f = arrays[name]
-        terms = [(arrays[g], axis) for g, axis in curl if g in arrays]
-        bounds = [(lo, hi), *((0, n) for n in f.shape[1:])]
-        for _, a in terms:
-            start, stop = bounds[a]
-            bounds[a] = (max(start, -d), min(stop, f.shape[a] - d))
-        s = tuple(slice(*b) for b in bounds)
-        diffs = []
-        for g, a in terms:
-            shifted = g[s[:a] + (slice(bounds[a][0] + d, bounds[a][1] + d),) + s[a + 1 :]]
-            diffs.append((shifted, g[s]) if d == 1 else (g[s], shifted))
-        rows.append((f, s, diffs))
+        terms = [(arrays[g].reshape(-1), math.prod(f.shape[a + 1 :]), a) for g, a in curl if g in arrays]
+        reach = max(stride for _, stride, _ in terms)
+        start, stop = (0, f.size - reach) if d == 1 else (reach, f.size)
+        s = slice(max(start, lo * f[0].size), min(stop, hi * f[0].size))
+        diffs = [(g[s.start + d * stride : s.stop + d * stride], g[s])[::d] for g, stride, _ in terms]
+        faces = [np.moveaxis(f, a, 0)[-1 if d == 1 else 0, lo:hi] for _, _, a in terms if a]
+        rows.append((*(x.reshape(-1)[s] for x in (f, ca, cb)), diffs, faces))
     return rows
 
 
 def _uniform_spans(ca: FloatArray, cb: FloatArray) -> list[tuple[int, int, object]]:
-    """Split the leading axis of a row's coefficients into ``(a, b, c)`` runs.
+    """Split a flat row's coefficients into ``(a, b, c)`` runs of whole blocks.
 
     ``c`` is the scalar of a uniform run, where every cell has ``ca == 1``
     and the bits of ``cb`` equal those of ``c``; it is ``None`` for a general
-    run. A uniform run shorter than the chunk floor joins the general runs
-    around it, so a medium that varies cell by cell stays one general run.
+    run. A block of ``MIN_CHUNK_CELLS`` cells is uniform when the minimum and
+    maximum of its ``ca`` are 1 and those of its ``cb`` bits are equal; runs
+    join consecutive blocks of one form and bit pattern. The last partial
+    block is general.
     """
-    n = ca.shape[0]
-    if ca.size == 0:
-        return []
-    axes = tuple(range(1, ca.ndim))
+    n = ca.size
+    size = backends.MIN_CHUNK_CELLS
+    whole = n - n % size
+    ca_blocks = ca[:whole].reshape(-1, size)
     # compare bits, not values: 0.0 == -0.0, but the two scale a curl apart
-    bits = cb.view(f"u{cb.itemsize}")
-    first = bits[(slice(None), *(0,) * len(axes))]
-    same = bits == first.reshape(n, *(1,) * len(axes))
-    uniform = (ca == 1).all(axis=axes) & same.all(axis=axes)
-
-    def edges(uniform: np.ndarray) -> np.ndarray:
-        """Both ends and every index where the form or the scalar changes."""
-        cut = (uniform[1:] != uniform[:-1]) | (uniform[1:] & (first[1:] != first[:-1]))
-        return np.concatenate(([0], np.flatnonzero(cut) + 1, [n]))
-
-    cuts = edges(uniform)
-    sizes = np.diff(cuts)
-    long = sizes * (ca.size // n) >= backends.MIN_CHUNK_CELLS
-    uniform = np.repeat(uniform[cuts[:-1]] & long, sizes)
-    cuts = edges(uniform).tolist()
-    return [(a, b, cb[a].flat[0] if uniform[a] else None) for a, b in zip(cuts[:-1], cuts[1:])]
+    bit_blocks = cb.view(f"u{cb.itemsize}")[:whole].reshape(-1, size)
+    low = bit_blocks.min(axis=1)
+    uniform = (ca_blocks.min(axis=1) == 1) & (ca_blocks.max(axis=1) == 1) & (low == bit_blocks.max(axis=1))
+    keys = [int(k) if u else None for u, k in zip(uniform, low)] + [None] * (whole < n)
+    cuts = [i for i in range(len(keys)) if i == 0 or keys[i] != keys[i - 1]] + [len(keys)]
+    return [
+        (a * size, min(b * size, n), None if keys[a] is None else cb[a * size])
+        for a, b in zip(cuts[:-1], cuts[1:])
+    ]
 
 
-def _update(f: FloatArray, ca, cb, diffs: list[tuple], bufs: list[FloatArray]) -> None:
-    """``f = ca*f + cb*curl``, or ``f + cb*curl`` when ``ca`` is ``None``;
-    ``curl`` is the first difference, less the second if there is one."""
-    (p, q), *second = diffs
-    curl = bufs[0]
-    np.subtract(p, q, out=curl)
-    if second:
-        ((p2, q2),) = second
-        np.subtract(p2, q2, out=bufs[1])
-        np.subtract(curl, bufs[1], out=curl)
-    np.multiply(cb, curl, out=curl)
-    if ca is not None:
-        np.multiply(ca, f, out=f)
-    np.add(f, curl, out=f)
+def _sweep(runs: list[tuple], faces: list[tuple[FloatArray, FloatArray]]) -> None:
+    """One chunk's half-step: ``f = ca*f + cb*curl`` per run (``f + cb*curl``
+    when ``ca`` is ``None``), ``curl`` being the first difference less any
+    second, between saving the chunk's frozen faces and writing them back."""
+    for face, saved in faces:
+        np.copyto(saved, face)
+    for f, ca, cb, ((p, q), *second), bufs in runs:
+        curl = bufs[0]
+        np.subtract(p, q, out=curl)
+        if second:
+            ((p2, q2),) = second
+            np.subtract(p2, q2, out=bufs[1])
+            np.subtract(curl, bufs[1], out=curl)
+        np.multiply(cb, curl, out=curl)
+        if ca is not None:
+            np.multiply(ca, f, out=f)
+        np.add(f, curl, out=f)
+    for face, saved in faces:
+        np.copyto(face, saved)
 
 
 # --- stepping -----------------------------------------------------------
@@ -297,42 +297,39 @@ def _stepper(
     """Return ``advance(n)``, which takes the arrays of ``state`` to step ``n``
     in place: source, H, E.
 
-    One plan over the leading axis drives both half-steps; the components
-    trimmed along that axis clip their share of each chunk. One loop builds
-    every chunk's H and E runs and their scratch once, not per step or chunk:
-    the Python work of a chunk runs under the GIL, where it stalls the other
-    workers. Each chunk owns its scratch, one chunk-sized row per curl term,
-    which its H and E runs share; no two chunks share a buffer.
+    One plan over the leading axis drives both half-steps, and one loop
+    builds every chunk's H and E runs, scratch and face buffers once, not
+    per step: the Python work of a chunk runs under the GIL, where it stalls
+    the other workers. A chunk's H and E runs share its scratch, one
+    chunk-sized row per curl term; no two chunks share a buffer.
 
-    A run is ``(f, ca, cb, diffs, bufs)`` for :func:`_update`, all views of
-    the run's cells: ``ca`` is ``None`` and ``cb`` a scalar of the array
-    dtype for a uniform run, and ``bufs`` are views of the chunk's scratch,
-    one per term.
+    A run is ``(f, ca, cb, diffs, bufs)`` for :func:`_sweep`, all flat,
+    contiguous views of the run's cells: ``ca`` is ``None`` and ``cb`` a
+    scalar of the array dtype for a uniform run, and ``bufs`` are views of
+    the chunk's scratch, one per term. ``run`` and ``step`` hand over
+    C-contiguous arrays, so the flat views write through to the state.
     """
-    shape = state.ez.shape
-    cells_per_index = math.prod(shape[1:])
-    plan = KernelPlan.for_range(0, shape[0], executor.backend, cells_per_index=cells_per_index)
+    plane = state.ez[0].size
+    plan = KernelPlan.for_range(0, len(state.ez), executor.backend, cells_per_index=plane)
     terms = _curl_terms(state.NAMES)
-    runs: dict[tuple[str, int, int], list[tuple]] = {}
+    chunks: dict[tuple[str, int, int], tuple[list, list]] = {}
     for lo, hi in plan.chunks:
-        scratch = np.empty((terms, (hi - lo) * cells_per_index), state.ez.dtype)
+        scratch = np.empty((terms, (hi - lo) * plane), state.ez.dtype)
         for field, ca, cb in (("h", coeff.cha, coeff.chb), ("e", coeff.cea, coeff.ceb)):
-            chunk = runs[field, lo, hi] = []
-            for f, s, diffs in _curl_rows(state, field, lo, hi):
-                for a, b, c in _uniform_spans(ca[s], cb[s]):
-                    out = f[s][a:b]
-                    bufs = [buf[: out.size].reshape(out.shape) for buf in scratch[: len(diffs)]]
-                    coeffs = (ca[s][a:b], cb[s][a:b]) if c is None else (None, c)
-                    chunk.append((out, *coeffs, [(p[a:b], q[a:b]) for p, q in diffs], bufs))
+            runs, faces = chunks[field, lo, hi] = [], []
+            for f, row_ca, row_cb, diffs, row_faces in _curl_rows(state, field, ca, cb, lo, hi):
+                for a, b, c in _uniform_spans(row_ca, row_cb):
+                    bufs = [buf[: b - a] for buf in scratch[: len(diffs)]]
+                    coeffs = (row_ca[a:b], row_cb[a:b]) if c is None else (None, c)
+                    runs.append((f[a:b], *coeffs, [(p[a:b], q[a:b]) for p, q in diffs], bufs))
+                faces += [(face, np.empty_like(face)) for face in row_faces]
 
     # perfbench's kernel_kind tells H from E by these names alone; _stepper gives neither token.
     def h(lo: int, hi: int) -> None:
-        for run in runs["h", lo, hi]:
-            _update(*run)
+        _sweep(*chunks["h", lo, hi])
 
     def e(lo: int, hi: int) -> None:
-        for run in runs["e", lo, hi]:
-            _update(*run)
+        _sweep(*chunks["e", lo, hi])
 
     def advance(n: int) -> None:
         if source is not None:
@@ -389,14 +386,16 @@ def run_footprint_bytes(config: SimulationConfig) -> int:
 
     Counts the live fields, the four material and four coefficient arrays,
     the scratch buffers (one grid's worth per curl term of a row, summed over
-    the chunks) and every snapshot copy. Transients of the coefficient set-up
-    and of the CSV writer are left out.
+    the chunks), one face buffer per trailing curl axis of each component
+    and every snapshot copy. Transients of the coefficient set-up and of the
+    CSV writer are left out.
     """
     names = _state_class(config).NAMES
     cadence = config.snapshot_every
     snapshots = (config.time_tot - 1) // cadence if cadence else 0
     arrays = len(names) * (1 + snapshots) + 4 + 4 + _curl_terms(names)
-    return arrays * config.cell_count * config.precision.dtype.itemsize
+    faces = sum(config.cell_count // config.shape[a] for name in names for g, a in _CURL[name] if g in names and a)
+    return (arrays * config.cell_count + faces) * config.precision.dtype.itemsize
 
 
 def run(

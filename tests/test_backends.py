@@ -75,6 +75,8 @@ def test_plan_partition_tiles_range():
     # every chunk respects the cell floor
     assert all(hi - lo >= MIN_CHUNK_CELLS for lo, hi in plan.chunks)
     assert len(plan.chunks) > 1
+    # one chunk per worker once the range clears the floor that often
+    assert len(plan.chunks) == 4
 
 
 def test_plan_scales_by_cells_per_index():

@@ -27,7 +27,7 @@ from fdtdkit.bench import (
 )
 from fdtdkit.engine import run, run_footprint_bytes
 from fdtdkit.linalg import lu_factor, lu_solve, relative_residual
-from fdtdkit.model import Precision, SimulationConfig, SourceSpec
+from fdtdkit.model import Precision, SimulationConfig, SourceSpec, make_vacuum_materials
 
 
 def test_bandwidth_from_known_figures():
@@ -230,12 +230,14 @@ def test_run_footprint_counts_fields_coefficients_scratch_and_snapshots():
         extent=1000, time_tot=10, snapshot_every=3, source=SourceSpec(location=500)
     )
     assert run_footprint_bytes(cfg) == (2 * 4 + 4 + 4 + 1) * 1000 * 8
-    # 3D: six components, two curl terms per row, no snapshot copies
+    # 3D: six components, two curl terms per row, no snapshot copies, and
+    # per field two frozen faces at an end of y (4*6 cells each) and two at
+    # an end of z (4*5 cells each)
     cfg = SimulationConfig(
         extent=(4, 5, 6), time_tot=10, precision=Precision.SINGLE,
         source=SourceSpec(location=(2, 2, 2)),
     )
-    assert run_footprint_bytes(cfg) == (6 + 4 + 4 + 2) * 120 * 4
+    assert run_footprint_bytes(cfg) == ((6 + 4 + 4 + 2) * 120 + 2 * (2 * 4 * 6 + 2 * 4 * 5)) * 4
 
 
 def test_fdtd_bench_checks_the_memory_cap_before_any_run(monkeypatch):
@@ -282,6 +284,31 @@ def _traced_peak(op) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("backend", [Backend.serial(), Backend.parallel(2)], ids=str)
+@pytest.mark.parametrize(
+    "config",
+    [
+        SimulationConfig(extent=2**14, time_tot=4, source=SourceSpec(location=3)),
+        SimulationConfig(
+            extent=(32, 32, 32), time_tot=4, precision=Precision.SINGLE,
+            source=SourceSpec(location=(3, 16, 16)),
+        ),
+    ],
+    ids=["1d-f64-vacuum", "3d-f32-lossy"],
+)
+def test_run_peaks_within_its_footprint(config, backend):
+    # both grids hold 128 KiB per array; the slack covers the Python objects
+    # of the rows and the fork-joins, not a transient the size of a row
+    def job():
+        materials = make_vacuum_materials(config.extent, config.precision, config.units)
+        if config.dims == 3:
+            materials.epsilon[8:24, 4:18, 10:28] = 2.5
+            materials.sigma[8:24, 4:18, 10:28] = 0.05
+        run(config, materials, backend)
+
+    assert _traced_peak(job) <= run_footprint_bytes(config) + 64 * 1024
 
 
 SWEEP_BACKENDS = pytest.mark.parametrize(

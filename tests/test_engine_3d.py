@@ -211,12 +211,14 @@ def test_engine_matches_oracle_on_random_lossy_grids(precision):
             assert np.any(state.ez != 0.0)
 
 
-@pytest.mark.parametrize("backend", [Backend.serial(), Backend.parallel(2)], ids=str)
-@pytest.mark.parametrize("extent", [2**15, (32, 32, 32)], ids=["1d-vacuum", "3d-lossy-block"])
-def test_half_steps_allocate_nothing(extent, backend, monkeypatch):
-    """Both row forms write into the run's scratch: no half-step allocates a
-    temporary the size of a component. The 3D block is lossy: on serial its
-    E rows take the general form and the vacuum around it the short one."""
+HALF_STEP_BACKENDS = pytest.mark.parametrize("backend", [Backend.serial(), Backend.parallel(2)], ids=str)
+HALF_STEP_EXTENTS = pytest.mark.parametrize("extent", [2**15, (32, 32, 32)], ids=["1d-vacuum", "3d-lossy-block"])
+
+
+def _half_step_growth(extent, backend, monkeypatch):
+    """Traced memory growth of each half-step of a 4-step run; the 3D block
+    is lossy: on serial its E rows take the general form and the vacuum
+    around it the short one."""
     location = 3 if isinstance(extent, int) else (3, 16, 16)
     cfg = SimulationConfig(extent=extent, time_tot=4, source=SourceSpec(location=location))
     materials = make_vacuum_materials(cfg.extent, cfg.precision, cfg.units)
@@ -239,9 +241,72 @@ def test_half_steps_allocate_nothing(extent, backend, monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(growth) == 2 * cfg.time_tot
-    # NumPy's ufunc iterator buffers strided operands in blocks of at most
-    # 8192 values; that and the futures are all a half-step may allocate
+    return growth, cfg
+
+
+@HALF_STEP_BACKENDS
+@HALF_STEP_EXTENTS
+def test_half_steps_allocate_nothing(extent, backend, monkeypatch):
+    """Both row forms write into the run's scratch: no half-step allocates a
+    temporary the size of a component."""
+    growth, cfg = _half_step_growth(extent, backend, monkeypatch)
+    # the futures of a fork-join are all a half-step may allocate
     assert max(growth) < cfg.cell_count * cfg.precision.dtype.itemsize
+
+
+@HALF_STEP_BACKENDS
+@HALF_STEP_EXTENTS
+def test_half_steps_grow_by_less_than_64_kib(extent, backend, monkeypatch):
+    """Every row operand is a contiguous flat range, so NumPy buffers none of
+    them, and the face buffers exist before the first step."""
+    growth, _ = _half_step_growth(extent, backend, monkeypatch)
+    assert max(growth) < 64 * 1024
+
+
+# the two faces of each component that the formulas in the engine docstring
+# leave frozen, as (axis, index)
+FROZEN_FACES = {
+    "hx": ((1, -1), (2, -1)), "hy": ((0, -1), (2, -1)), "hz": ((0, -1), (1, -1)),
+    "ex": ((1, 0), (2, 0)), "ey": ((0, 0), (2, 0)), "ez": ((0, 0), (1, 0)),
+}
+
+
+@pytest.mark.parametrize(
+    "source",
+    [None, SourceSpec(location=(4, 3, 2), n_lambda=6.0, tstart=0, soft=True, plane=True)],
+    ids=["no-source", "soft-plane"],
+)
+def test_frozen_faces_keep_their_bytes(source, monkeypatch):
+    """A row reads wrapped-round neighbours on the frozen faces inside its flat
+    range; each chunk writes those faces back, bit for bit, on every backend."""
+    monkeypatch.setattr("fdtdkit.backends.MIN_CHUNK_CELLS", 1)
+    shape = (9, 7, 6)
+    assert len(KernelPlan.for_range(0, shape[0], Backend.parallel(3), 7 * 6).chunks) > 1
+    rng = np.random.default_rng(11)
+    state = FieldState3D(**{name: rng.uniform(-1.0, 1.0, shape) for name in FieldState3D.NAMES})
+    for name, faces in FROZEN_FACES.items():
+        for axis, index in faces:
+            face = np.moveaxis(getattr(state, name), axis, 0)[index]
+            face[::2, ::2] = -0.0
+            face[1::2, 1::2] = rng.choice([-1e300, 1e300], face[1::2, 1::2].shape)
+    # a lossy half next to vacuum: both row forms, with floor-sized blocks
+    materials = make_vacuum_materials(shape, Precision.DOUBLE, "normalized")
+    materials.epsilon[:, :, 3:] = 2.0
+    materials.sigma[:, :, 3:] = 0.05
+    coeff = UpdateCoefficients.from_materials(materials, 0.5, 1.0)
+
+    serial, parallel = (step(state, coeff, source, 0.5, b) for b in (Backend.serial(), Backend.parallel(3)))
+    expected = state.copy()
+    if source is not None:
+        # the sheet crosses ez's frozen j = 0 face, so that face takes the sample
+        val = source.value_at(state.step + 1, 0.5)
+        assert val != 0.0
+        expected.ez[source.location[0]] += np.float64(val)
+    for name, faces in FROZEN_FACES.items():
+        assert getattr(serial, name).tobytes() == getattr(parallel, name).tobytes(), name
+        for axis, index in faces:
+            got, want = (np.moveaxis(getattr(s, name), axis, 0)[index] for s in (serial, expected))
+            assert got.tobytes() == want.tobytes(), (name, axis)
 
 
 @pytest.fixture
