@@ -49,8 +49,11 @@ A row splits into runs of two forms, found in blocks of
 
 Both give the same bits for every cell: ``1*f == f`` exactly, a dtype
 scalar times the curl is the per-cell product, and ``+`` and ``*`` commute
-bitwise. A medium that varies cell by cell is one general run; vacuum is
-uniform but for each row's last partial block. Both forms write through
+bitwise. A medium that varies cell by cell is one general run; a full array
+of vacuum is uniform but for each row's last partial block. A medium stored
+as broadcasts of one value (``make_vacuum_materials``) has coefficients with
+all strides 0, and each of its rows is one run, found with no scan. Both
+forms write through
 ``out=`` into scratch buffers that a run allocates once per chunk and that
 the chunk's H and E rows share, so a step allocates nothing.
 
@@ -96,8 +99,10 @@ from .model import (
     SimulationConfig,
     SourceSpec,
     all_finite,
+    all_strides_zero,
     make_vacuum_materials,
     require_matching,
+    stored_cells,
     validate_stability,
 )
 
@@ -106,7 +111,8 @@ _SERIAL = Backend.serial()
 
 @dataclass(frozen=True)
 class UpdateCoefficients:
-    """Per-cell update factors derived from materials and the time step."""
+    """Per-cell update factors derived from materials and the time step; a
+    pair derived from broadcasts of one value is a broadcast too."""
 
     cea: FloatArray
     ceb: FloatArray
@@ -124,20 +130,23 @@ class UpdateCoefficients:
 
         With ``l = sigma*dt / (2*eps)`` (``sigma_star`` and ``mu`` for H):
         ``a = (1 - l) / (1 + l)`` and ``b = dt / (dl*eps) / (1 + l)``. Each
-        pair is computed in place in its two outputs plus one shared
-        grid-sized transient, in that operation order, so the peak is five
-        grid arrays.
+        pair is computed in place in its two outputs plus one transient, in
+        that operation order, so the peak is five grid arrays. A pair whose
+        two inputs both have all strides 0 is computed on their one cell
+        and broadcast, so it takes no memory per cell.
         """
         dtype = materials.dtype
         dt = dtype.type(deltat)
         dl = dtype.type(delta)
         one = dtype.type(1.0)
         two = dtype.type(2.0)
-        tmp = np.empty_like(materials.epsilon)
 
         def pair(loss: FloatArray, medium: FloatArray) -> tuple[FloatArray, FloatArray]:
+            cell = all_strides_zero(loss, medium)
+            if cell:
+                loss, medium = stored_cells(loss), stored_cells(medium)
             a = np.multiply(loss, dt)
-            np.multiply(two, medium, out=tmp)
+            tmp = np.multiply(two, medium)
             np.divide(a, tmp, out=a)  # l
             if a.max() >= one:
                 raise ValueError(
@@ -150,6 +159,8 @@ class UpdateCoefficients:
             np.divide(b, tmp, out=b)
             np.subtract(one, a, out=a)
             np.divide(a, tmp, out=a)
+            if cell:
+                return np.broadcast_to(a, materials.shape), np.broadcast_to(b, materials.shape)
             return a, b
 
         cea, ceb = pair(materials.sigma, materials.epsilon)
@@ -245,9 +256,12 @@ def _uniform_spans(ca: FloatArray, cb: FloatArray) -> list[tuple[int, int, objec
     run. A block of ``MIN_CHUNK_CELLS`` cells is uniform when the minimum and
     maximum of its ``ca`` are 1 and those of its ``cb`` bits are equal; runs
     join consecutive blocks of one form and bit pattern. The last partial
-    block is general.
+    block is general. A pair whose strides are all 0 holds one value each,
+    so its row is one run, with no scan.
     """
     n = ca.size
+    if all_strides_zero(ca, cb):
+        return [(0, n, cb[0] if ca[0] == 1 else None)] if n else []
     size = backends.MIN_CHUNK_CELLS
     whole = n - n % size
     ca_blocks = ca[:whole].reshape(-1, size)
@@ -352,7 +366,7 @@ def step(
     ``source=None`` advances the fields without driving them. The input state
     is left untouched; the result owns its arrays and carries step count + 1.
     Coefficients must match the state in shape and dtype, so every cell has
-    its own factors and all arithmetic stays in the state's precision, and a
+    its factors and all arithmetic stays in the state's precision, and a
     source must lie inside the state's grid.
     """
     require_matching(ez=state.ez, cea=coeff.cea)
@@ -380,20 +394,23 @@ def _state_class(config: SimulationConfig) -> type[FieldState]:
     return FieldState1D if config.dims == 1 else FieldState3D
 
 
-def run_footprint_bytes(config: SimulationConfig) -> int:
-    """Bytes that ``run(config)`` holds while it steps, on the vacuum it
-    builds when no materials are passed.
+def run_footprint_bytes(config: SimulationConfig, materials: MaterialGrid | None = None) -> int:
+    """Bytes that ``run(config, materials)`` allocates and holds while it
+    steps; ``None`` is the vacuum that ``run`` then builds.
 
-    Counts the live fields, the four material and four coefficient arrays,
-    the scratch buffers (one grid's worth per curl term of a row, summed over
-    the chunks), one face buffer per trailing curl axis of each component
-    and every snapshot copy. Transients of the coefficient set-up and of the
-    CSV writer are left out.
+    Counts the live fields, the scratch buffers (one grid's worth per curl
+    term of a row, summed over the chunks), one face buffer per trailing
+    curl axis of each component, every snapshot copy and the coefficient
+    arrays that exist: two per pair whose materials are stored per cell,
+    none for vacuum. The caller's materials, the transients of the
+    coefficient set-up and those of the CSV writer are left out.
     """
     names = _state_class(config).NAMES
     cadence = config.snapshot_every
     snapshots = (config.time_tot - 1) // cadence if cadence else 0
-    arrays = len(names) * (1 + snapshots) + 4 + 4 + _curl_terms(names)
+    pairs = () if materials is None else ((materials.sigma, materials.epsilon), (materials.sigma_star, materials.mu))
+    coefficients = 2 * sum(not all_strides_zero(*pair) for pair in pairs)
+    arrays = len(names) * (1 + snapshots) + coefficients + _curl_terms(names)
     faces = sum(config.cell_count // config.shape[a] for name in names for g, a in _CURL[name] if g in names and a)
     return (arrays * config.cell_count + faces) * config.precision.dtype.itemsize
 
@@ -428,7 +445,8 @@ def run(
     # the run's dtype, so a vacuum grid scales the Courant number by exactly 1.
     dtype = materials.dtype
     vacuum = dtype.type(1) if config.units == "normalized" else dtype.type(EPS0) * dtype.type(MU0)
-    speed_sq = float(vacuum) / float((materials.epsilon * materials.mu).min())
+    # a broadcast of one value is taken on its one cell, not over the grid
+    speed_sq = float(vacuum) / float((stored_cells(materials.epsilon) * stored_cells(materials.mu)).min())
     validate_stability(config.dims, config.courant * math.sqrt(speed_sq))
     coeff = UpdateCoefficients.from_materials(materials, config.deltat, config.delta)
     state: FieldState = _state_class(config).zeros(config.extent, config.precision)

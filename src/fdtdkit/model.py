@@ -115,6 +115,18 @@ def require_float_dtype(name: str, dtype: np.dtype) -> None:
         raise ValueError(f"{name} dtype must be float32 or float64, got {dtype}")
 
 
+def all_strides_zero(*arrays: np.ndarray) -> bool:
+    """True when every stride of every array is 0: each is a broadcast of one
+    value (``np.broadcast_to``), stored once for all its cells."""
+    return not any(stride for arr in arrays for stride in arr.strides)
+
+
+def stored_cells(arr: np.ndarray) -> np.ndarray:
+    """``arr``, or its one stored cell as a 1-element view when every stride
+    of ``arr`` is 0."""
+    return arr.reshape(-1)[:1] if all_strides_zero(arr) else arr
+
+
 def all_finite(arr: np.ndarray) -> bool:
     """True unless ``arr`` holds NaN or Inf; an empty array is finite."""
     # min and max propagate NaN, so the two bound every entry
@@ -176,7 +188,9 @@ class MaterialGrid:
     """Per-cell material arrays: permittivity, permeability, and losses.
 
     ``sigma`` is the electric conductivity and ``sigma_star`` the magnetic
-    loss. All four arrays share one shape and one float dtype.
+    loss. All four arrays share one shape and one float dtype. An array whose
+    strides are all 0 (``np.broadcast_to`` of one value) stores one value for
+    every cell; it is checked, and later computed on, as that one cell.
     """
 
     epsilon: FloatArray
@@ -191,7 +205,7 @@ class MaterialGrid:
         require_float_dtype("material", self.dtype)
         low = {}
         for name in ("epsilon", "mu", "sigma", "sigma_star"):
-            arr = getattr(self, name)
+            arr = stored_cells(getattr(self, name))
             # min and max propagate NaN, so the two bound every cell
             low[name], high = arr.min(), arr.max()
             if not (np.isfinite(low[name]) and np.isfinite(high)):
@@ -220,7 +234,9 @@ def make_vacuum_materials(
     """Lossless vacuum materials for the given grid extent.
 
     Normalized units give epsilon = mu = 1; physical units give the SI
-    vacuum constants. Losses are zero in both systems.
+    vacuum constants. Losses are zero in both systems. Each array is a
+    read-only ``np.broadcast_to`` view of one dtype scalar, so it takes no
+    memory per cell; ``copy()`` it before writing into it.
     """
     shape = (extent,) if isinstance(extent, int) else tuple(extent)
     dtype = precision.dtype
@@ -230,12 +246,11 @@ def make_vacuum_materials(
         eps_val, mu_val = EPS0, MU0
     else:
         raise ValueError(f"units must be 'normalized' or 'physical', got {units!r}")
-    return MaterialGrid(
-        epsilon=np.full(shape, eps_val, dtype=dtype),
-        mu=np.full(shape, mu_val, dtype=dtype),
-        sigma=np.zeros(shape, dtype=dtype),
-        sigma_star=np.zeros(shape, dtype=dtype),
-    )
+
+    def uniform(val: float) -> FloatArray:
+        return np.broadcast_to(dtype.type(val), shape)
+
+    return MaterialGrid(epsilon=uniform(eps_val), mu=uniform(mu_val), sigma=uniform(0.0), sigma_star=uniform(0.0))
 
 
 @dataclass(frozen=True)

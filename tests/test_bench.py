@@ -27,7 +27,7 @@ from fdtdkit.bench import (
 )
 from fdtdkit.engine import run, run_footprint_bytes
 from fdtdkit.linalg import lu_factor, lu_solve, relative_residual
-from fdtdkit.model import Precision, SimulationConfig, SourceSpec, make_vacuum_materials
+from fdtdkit.model import MaterialGrid, Precision, SimulationConfig, SourceSpec, make_vacuum_materials
 
 
 def test_bandwidth_from_known_figures():
@@ -224,12 +224,13 @@ def test_fdtd_bench_records_and_pairing(fast_timing):
 
 
 def test_run_footprint_counts_fields_coefficients_scratch_and_snapshots():
-    # 1D: ez and hy, live and in 3 snapshots (steps 3, 6, 9 of 10), four
-    # material and four coefficient arrays, one scratch row per curl term
+    # 1D: ez and hy, live and in 3 snapshots (steps 3, 6, 9 of 10), and one
+    # scratch row per curl term; vacuum stores its materials and
+    # coefficients as broadcasts of one value, so they count nothing
     cfg = SimulationConfig(
         extent=1000, time_tot=10, snapshot_every=3, source=SourceSpec(location=500)
     )
-    assert run_footprint_bytes(cfg) == (2 * 4 + 4 + 4 + 1) * 1000 * 8
+    assert run_footprint_bytes(cfg) == (2 * 4 + 1) * 1000 * 8
     # 3D: six components, two curl terms per row, no snapshot copies, and
     # per field two frozen faces at an end of y (4*6 cells each) and two at
     # an end of z (4*5 cells each)
@@ -237,7 +238,14 @@ def test_run_footprint_counts_fields_coefficients_scratch_and_snapshots():
         extent=(4, 5, 6), time_tot=10, precision=Precision.SINGLE,
         source=SourceSpec(location=(2, 2, 2)),
     )
-    assert run_footprint_bytes(cfg) == ((6 + 4 + 4 + 2) * 120 + 2 * (2 * 4 * 6 + 2 * 4 * 5)) * 4
+    faces = 2 * (2 * 4 * 6 + 2 * 4 * 5)
+    assert run_footprint_bytes(cfg) == ((6 + 2) * 120 + faces) * 4
+    # passed materials stored per cell: two coefficient arrays per pair with
+    # a full input, here (sigma, epsilon) and not (sigma_star, mu)
+    vacuum = make_vacuum_materials(cfg.extent, cfg.precision)
+    lossy = MaterialGrid(vacuum.epsilon.copy(), vacuum.mu, vacuum.sigma, vacuum.sigma_star)
+    assert run_footprint_bytes(cfg, vacuum) == run_footprint_bytes(cfg)
+    assert run_footprint_bytes(cfg, lossy) == ((6 + 2 + 2) * 120 + faces) * 4
 
 
 def test_fdtd_bench_checks_the_memory_cap_before_any_run(monkeypatch):
@@ -300,15 +308,20 @@ def _traced_peak(op) -> int:
 )
 def test_run_peaks_within_its_footprint(config, backend):
     # both grids hold 128 KiB per array; the slack covers the Python objects
-    # of the rows and the fork-joins, not a transient the size of a row
+    # of the rows and the fork-joins, not a transient the size of a row.
+    # Vacuum arrays are read-only broadcasts, so the lossy block is painted
+    # on writable copies, made before tracing as a caller makes them.
+    materials = make_vacuum_materials(config.extent, config.precision, config.units)
+    if config.dims == 3:
+        epsilon, sigma = materials.epsilon.copy(), materials.sigma.copy()
+        epsilon[8:24, 4:18, 10:28] = 2.5
+        sigma[8:24, 4:18, 10:28] = 0.05
+        materials = MaterialGrid(epsilon, materials.mu, sigma, materials.sigma_star)
+
     def job():
-        materials = make_vacuum_materials(config.extent, config.precision, config.units)
-        if config.dims == 3:
-            materials.epsilon[8:24, 4:18, 10:28] = 2.5
-            materials.sigma[8:24, 4:18, 10:28] = 0.05
         run(config, materials, backend)
 
-    assert _traced_peak(job) <= run_footprint_bytes(config) + 64 * 1024
+    assert _traced_peak(job) <= run_footprint_bytes(config, materials) + 64 * 1024
 
 
 SWEEP_BACKENDS = pytest.mark.parametrize(

@@ -18,7 +18,7 @@ from fdtdkit.cli import (
     emit_snapshot_csv,
     main,
 )
-from fdtdkit.engine import SnapshotSeries, run
+from fdtdkit.engine import SnapshotSeries, run, run_footprint_bytes
 from fdtdkit.model import FieldState1D, FieldState3D, Precision, SimulationConfig, SourceSpec
 
 
@@ -151,6 +151,27 @@ def test_over_the_memory_cap_is_exit_2_before_any_allocation(argv, tmp_path, mon
     out = tmp_path / "out"
     assert main(argv + ["--steps", "2", "--out", str(out)]) == 2
     assert "memory cap" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_the_memory_cap_admits_a_vacuum_grid_that_per_cell_materials_would_not(tmp_path, monkeypatch, capsys):
+    # a 1D vacuum run holds ez, hy and one scratch row: 3 grid arrays, where
+    # per-cell materials and coefficients made it 11
+    admitted = SimulationConfig(extent=4096, time_tot=2, source=SourceSpec(location=2048))
+    cap = run_footprint_bytes(admitted)
+    assert cap == 3 * 4096 * 8 < 11 * 4096 * 8
+    monkeypatch.setattr(bench, "default_memory_cap", lambda: cap)
+    out = tmp_path / "admitted.csv"
+    assert main(["simulate", "--xdim", "4096", "--steps", "2", "--out", str(out)]) == 0
+    assert out.stat().st_size > 0
+    # one cell more is past the model: exit 2, nothing written
+    refused = SimulationConfig(extent=4097, time_tot=2, source=SourceSpec(location=2048))
+    with pytest.raises(bench.MemoryCapError, match="memory cap"):
+        bench.require_run_memory(refused)
+    capsys.readouterr()
+    out = tmp_path / "refused.csv"
+    assert main(["simulate", "--xdim", "4097", "--steps", "2", "--out", str(out)]) == 2
+    assert "over the memory cap" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -223,8 +223,11 @@ def _half_step_growth(extent, backend, monkeypatch):
     cfg = SimulationConfig(extent=extent, time_tot=4, source=SourceSpec(location=location))
     materials = make_vacuum_materials(cfg.extent, cfg.precision, cfg.units)
     if cfg.dims == 3:
-        materials.epsilon[8:24, 4:18, 10:28] = 2.5
-        materials.sigma[8:24, 4:18, 10:28] = 0.05
+        # vacuum arrays are read-only broadcasts: paint the block on copies
+        epsilon, sigma = materials.epsilon.copy(), materials.sigma.copy()
+        epsilon[8:24, 4:18, 10:28] = 2.5
+        sigma[8:24, 4:18, 10:28] = 0.05
+        materials = MaterialGrid(epsilon, materials.mu, sigma, materials.sigma_star)
     growth = []
     execute_stencil = engine.execute_stencil
 
@@ -290,9 +293,10 @@ def test_frozen_faces_keep_their_bytes(source, monkeypatch):
             face[::2, ::2] = -0.0
             face[1::2, 1::2] = rng.choice([-1e300, 1e300], face[1::2, 1::2].shape)
     # a lossy half next to vacuum: both row forms, with floor-sized blocks
-    materials = make_vacuum_materials(shape, Precision.DOUBLE, "normalized")
-    materials.epsilon[:, :, 3:] = 2.0
-    materials.sigma[:, :, 3:] = 0.05
+    epsilon, mu, sigma, sigma_star = np.ones(shape), np.ones(shape), np.zeros(shape), np.zeros(shape)
+    epsilon[:, :, 3:] = 2.0
+    sigma[:, :, 3:] = 0.05
+    materials = MaterialGrid(epsilon, mu, sigma, sigma_star)
     coeff = UpdateCoefficients.from_materials(materials, 0.5, 1.0)
 
     serial, parallel = (step(state, coeff, source, 0.5, b) for b in (Backend.serial(), Backend.parallel(3)))

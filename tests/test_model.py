@@ -221,6 +221,60 @@ def test_vacuum_materials_by_units():
     assert np.all(phys.sigma == 0.0) and np.all(phys.sigma_star == 0.0)
 
 
+@pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.value)
+def test_vacuum_materials_are_read_only_broadcasts(precision):
+    vacuum = make_vacuum_materials((4, 3, 5), precision, "physical")
+    for name, value in (("epsilon", EPS0), ("mu", MU0), ("sigma", 0.0), ("sigma_star", 0.0)):
+        arr = getattr(vacuum, name)
+        assert arr.shape == (4, 3, 5) and arr.dtype == precision.dtype and arr.strides == (0, 0, 0)
+        assert np.array_equal(arr, np.full(arr.shape, value, precision.dtype))
+    with pytest.raises(ValueError, match="read-only"):
+        vacuum.epsilon[1, 1, 1] = 2.0
+    # a copy is a writable array of the same values
+    painted = vacuum.epsilon.copy()
+    painted[1, 1, 1] = 2.0
+    assert painted.flags.writeable and vacuum.epsilon[1, 1, 1] == precision.dtype.type(EPS0)
+
+
+# one value per rule of MaterialGrid that breaks it, as (array, value, message)
+_BROKEN_RULES = {
+    "epsilon-nan": ("epsilon", math.nan, "epsilon must be finite everywhere"),
+    "mu-inf": ("mu", math.inf, "mu must be finite everywhere"),
+    "sigma-nan": ("sigma", math.nan, "sigma must be finite everywhere"),
+    "sigma_star-inf": ("sigma_star", -math.inf, "sigma_star must be finite everywhere"),
+    "epsilon-zero": ("epsilon", 0.0, "epsilon must be positive everywhere"),
+    "mu-negative": ("mu", -1.0, "mu must be positive everywhere"),
+    "sigma-negative": ("sigma", -0.5, "sigma and sigma_star must be non-negative"),
+    "sigma_star-negative": ("sigma_star", -0.5, "sigma and sigma_star must be non-negative"),
+}
+
+
+@pytest.mark.parametrize("name, value, message", _BROKEN_RULES.values(), ids=_BROKEN_RULES)
+def test_a_broadcast_material_breaks_each_rule_as_a_full_array_does(name, value, message):
+    """A zero-stride array is checked on its one cell, with the message a
+    full array of the same value gets."""
+    shape = (4, 3, 5)
+    vacuum = make_vacuum_materials(shape)
+    errors = []
+    for bad in (np.broadcast_to(np.float64(value), shape), np.full(shape, value)):
+        arrays = {n: getattr(vacuum, n) for n in ("epsilon", "mu", "sigma", "sigma_star")}
+        arrays[name] = bad
+        with pytest.raises(ValueError) as err:
+            MaterialGrid(**arrays)
+        errors.append(str(err.value))
+    assert errors == [message, message]
+
+
+def test_a_broadcast_material_of_integers_is_rejected_as_a_full_one_is():
+    shape = (6,)
+    errors = []
+    for arr in (np.broadcast_to(np.int64(1), shape), np.ones(shape, np.int64)):
+        with pytest.raises(ValueError) as err:
+            MaterialGrid(arr, arr, arr, arr)
+        errors.append(str(err.value))
+    assert errors == ["material dtype must be float32 or float64, got int64"] * 2
+
+
 def test_material_grid_validation():
     ok = np.ones(5)
     with pytest.raises(ValueError):

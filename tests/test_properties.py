@@ -35,6 +35,8 @@ from fdtdkit.model import (  # noqa: E402
     SimulationConfig,
     SourceSpec,
     UnstableCourantError,
+    all_strides_zero,
+    make_vacuum_materials,
 )
 
 from oracle_1d import reference_run_1d  # noqa: E402
@@ -234,6 +236,42 @@ def test_3d_vacuum_with_a_block_matches_the_oracle(data):
     for backend, state in _runs(cfg, MaterialGrid(**arrays), floor):
         for name, arr in state.components().items():
             assert np.array_equal(arr, expected[name]), (backend, name)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_vacuum_broadcasts_give_the_bits_of_full_arrays(data):
+    """``make_vacuum_materials`` stores one value per array, so its rows are
+    one uniform run each; the same values as full writable arrays are scanned
+    block by block, and both must give the same field bytes."""
+    precision = data.draw(st.sampled_from(list(Precision)), label="precision")
+    units = data.draw(st.sampled_from(["normalized", "physical"]), label="units")
+    if data.draw(st.booleans(), label="3d"):
+        extent = tuple(data.draw(st.lists(st.integers(3, 8), min_size=3, max_size=3), label="shape"))
+        location = tuple(data.draw(st.integers(1, n - 2), label="location") for n in extent)
+        plane = data.draw(st.booleans(), label="plane")
+        courant = data.draw(st.floats(0.05, 1.0 / math.sqrt(3.0)), label="courant")
+    else:
+        extent = data.draw(st.integers(3, 60), label="xdim")
+        location = data.draw(st.integers(1, extent - 2), label="cell")
+        plane = False
+        courant = data.draw(st.floats(0.05, 1.0), label="courant")
+    cfg = SimulationConfig(
+        extent=extent, time_tot=data.draw(st.integers(1, 12), label="steps"),
+        courant=courant, precision=precision, units=units,
+        delta=1e-3 if units == "physical" else 1.0,
+        source=SourceSpec(
+            location=location, n_lambda=data.draw(st.floats(2.0, 30.0), label="n_lambda"),
+            soft=data.draw(st.booleans(), label="soft"), plane=plane,
+        ),
+    )
+    floor = data.draw(st.sampled_from([1, 1, 3, 16]), label="floor")
+    vacuum = make_vacuum_materials(cfg.extent, precision, units)
+    full = MaterialGrid(*(getattr(vacuum, name).copy() for name in ("epsilon", "mu", "sigma", "sigma_star")))
+    assert all_strides_zero(vacuum.epsilon) and full.epsilon.flags.writeable
+    for (backend, got), (_, want) in zip(_runs(cfg, vacuum, floor), _runs(cfg, full, floor)):
+        for name, arr in got.components().items():
+            assert arr.tobytes() == getattr(want, name).tobytes(), (backend, name)
 
 
 @pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.value)
