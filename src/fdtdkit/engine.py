@@ -49,11 +49,8 @@ A row splits into runs of two forms, found in blocks of
 
 Both give the same bits for every cell: ``1*f == f`` exactly, a dtype
 scalar times the curl is the per-cell product, and ``+`` and ``*`` commute
-bitwise. A medium that varies cell by cell is one general run; a full array
-of vacuum is uniform but for each row's last partial block. A medium stored
-as broadcasts of one value (``make_vacuum_materials``) has coefficients with
-all strides 0, and each of its rows is one run, found with no scan. Both
-forms write through
+bitwise. A medium that varies cell by cell is one general run; vacuum is
+uniform but for each row's last partial block. Both forms write through
 ``out=`` into scratch buffers that a run allocates once per chunk and that
 the chunk's H and E rows share, so a step allocates nothing.
 
@@ -256,12 +253,9 @@ def _uniform_spans(ca: FloatArray, cb: FloatArray) -> list[tuple[int, int, objec
     run. A block of ``MIN_CHUNK_CELLS`` cells is uniform when the minimum and
     maximum of its ``ca`` are 1 and those of its ``cb`` bits are equal; runs
     join consecutive blocks of one form and bit pattern. The last partial
-    block is general. A pair whose strides are all 0 holds one value each,
-    so its row is one run, with no scan.
+    block is general.
     """
     n = ca.size
-    if all_strides_zero(ca, cb):
-        return [(0, n, cb[0] if ca[0] == 1 else None)] if n else []
     size = backends.MIN_CHUNK_CELLS
     whole = n - n % size
     ca_blocks = ca[:whole].reshape(-1, size)
@@ -317,10 +311,12 @@ def _stepper(
     the other workers. A chunk's H and E runs share its scratch, one
     chunk-sized row per curl term; no two chunks share a buffer.
 
-    A run is ``(f, ca, cb, diffs, bufs)`` for :func:`_sweep`, all flat,
-    contiguous views of the run's cells: ``ca`` is ``None`` and ``cb`` a
-    scalar of the array dtype for a uniform run, and ``bufs`` are views of
-    the chunk's scratch, one per term. ``run`` and ``step`` hand over
+    A run is ``(f, ca, cb, diffs, bufs)`` for :func:`_sweep`, flat views of
+    the run's cells: ``ca`` is ``None`` and ``cb`` a scalar of the array
+    dtype for a uniform run; in a general run ``ca`` and ``cb`` are
+    contiguous views, or zero-stride ones for coefficients broadcast from
+    one cell; ``f``, the diffs and ``bufs``, views of the chunk's scratch,
+    one per term, are always contiguous. ``run`` and ``step`` hand over
     C-contiguous arrays, so the flat views write through to the state.
     """
     plane = state.ez[0].size
@@ -394,23 +390,20 @@ def _state_class(config: SimulationConfig) -> type[FieldState]:
     return FieldState1D if config.dims == 1 else FieldState3D
 
 
-def run_footprint_bytes(config: SimulationConfig, materials: MaterialGrid | None = None) -> int:
-    """Bytes that ``run(config, materials)`` allocates and holds while it
-    steps; ``None`` is the vacuum that ``run`` then builds.
+def run_footprint_bytes(config: SimulationConfig) -> int:
+    """Bytes that ``run(config)`` holds while it steps, on the vacuum it
+    builds when no materials are passed.
 
     Counts the live fields, the scratch buffers (one grid's worth per curl
     term of a row, summed over the chunks), one face buffer per trailing
-    curl axis of each component, every snapshot copy and the coefficient
-    arrays that exist: two per pair whose materials are stored per cell,
-    none for vacuum. The caller's materials, the transients of the
-    coefficient set-up and those of the CSV writer are left out.
+    curl axis of each component and every snapshot copy. Vacuum materials
+    and their coefficients are broadcasts of one cell, so none is counted.
+    Transients of the coefficient set-up and of the CSV writer are left out.
     """
     names = _state_class(config).NAMES
     cadence = config.snapshot_every
     snapshots = (config.time_tot - 1) // cadence if cadence else 0
-    pairs = () if materials is None else ((materials.sigma, materials.epsilon), (materials.sigma_star, materials.mu))
-    coefficients = 2 * sum(not all_strides_zero(*pair) for pair in pairs)
-    arrays = len(names) * (1 + snapshots) + coefficients + _curl_terms(names)
+    arrays = len(names) * (1 + snapshots) + _curl_terms(names)
     faces = sum(config.cell_count // config.shape[a] for name in names for g, a in _CURL[name] if g in names and a)
     return (arrays * config.cell_count + faces) * config.precision.dtype.itemsize
 

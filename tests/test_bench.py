@@ -240,12 +240,6 @@ def test_run_footprint_counts_fields_coefficients_scratch_and_snapshots():
     )
     faces = 2 * (2 * 4 * 6 + 2 * 4 * 5)
     assert run_footprint_bytes(cfg) == ((6 + 2) * 120 + faces) * 4
-    # passed materials stored per cell: two coefficient arrays per pair with
-    # a full input, here (sigma, epsilon) and not (sigma_star, mu)
-    vacuum = make_vacuum_materials(cfg.extent, cfg.precision)
-    lossy = MaterialGrid(vacuum.epsilon.copy(), vacuum.mu, vacuum.sigma, vacuum.sigma_star)
-    assert run_footprint_bytes(cfg, vacuum) == run_footprint_bytes(cfg)
-    assert run_footprint_bytes(cfg, lossy) == ((6 + 2 + 2) * 120 + faces) * 4
 
 
 def test_fdtd_bench_checks_the_memory_cap_before_any_run(monkeypatch):
@@ -310,18 +304,22 @@ def test_run_peaks_within_its_footprint(config, backend):
     # both grids hold 128 KiB per array; the slack covers the Python objects
     # of the rows and the fork-joins, not a transient the size of a row.
     # Vacuum arrays are read-only broadcasts, so the lossy block is painted
-    # on writable copies, made before tracing as a caller makes them.
+    # on writable copies, made before tracing as a caller makes them. Its
+    # (sigma, epsilon) pair is stored per cell, so the two coefficient
+    # arrays of that pair are added to the vacuum model.
     materials = make_vacuum_materials(config.extent, config.precision, config.units)
+    bound = run_footprint_bytes(config) + 64 * 1024
     if config.dims == 3:
         epsilon, sigma = materials.epsilon.copy(), materials.sigma.copy()
         epsilon[8:24, 4:18, 10:28] = 2.5
         sigma[8:24, 4:18, 10:28] = 0.05
         materials = MaterialGrid(epsilon, materials.mu, sigma, materials.sigma_star)
+        bound += 2 * epsilon.nbytes
 
     def job():
         run(config, materials, backend)
 
-    assert _traced_peak(job) <= run_footprint_bytes(config, materials) + 64 * 1024
+    assert _traced_peak(job) <= bound
 
 
 SWEEP_BACKENDS = pytest.mark.parametrize(
