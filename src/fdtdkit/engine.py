@@ -39,18 +39,17 @@ wrapped round from the next row or plane, so each chunk saves its slabs'
 faces before its updates and writes them back after, on every half-step:
 a plane source writes frozen ``ez`` cells every step.
 
-A row splits into runs of two forms, found in blocks of
-``MIN_CHUNK_CELLS`` cells from the field's coefficients:
+Each row of a chunk is one run, of one of two forms:
 
-* a uniform run, where ``ca == 1`` exactly and ``cb`` holds one value bit
-  for bit, stores that value as a scalar of the array dtype and computes
-  ``f + cb*curl``;
+* a uniform run, where the field's pair is one cell broadcast with
+  ``ca == 1``, takes ``cb`` as a dtype scalar and computes ``f + cb*curl``;
 * a general run computes ``ca*f + cb*curl``.
 
 Both give the same bits for every cell: ``1*f == f`` exactly, a dtype
 scalar times the curl is the per-cell product, and ``+`` and ``*`` commute
-bitwise. A medium that varies cell by cell is one general run; vacuum is
-uniform but for each row's last partial block. Both forms write through
+bitwise. :meth:`UpdateCoefficients.from_materials` stores a pair as one
+cell when its materials hold one value each, so vacuum is uniform and a
+medium that varies is general. Both forms write through
 ``out=`` into scratch buffers that a run allocates once per chunk and that
 the chunk's H and E rows share, so a step allocates nothing.
 
@@ -82,7 +81,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import backends
 from .backends import Backend, KernelPlan, StencilExecutor, execute_stencil
 from .model import (
     EPS0,
@@ -109,7 +107,7 @@ _SERIAL = Backend.serial()
 @dataclass(frozen=True)
 class UpdateCoefficients:
     """Per-cell update factors derived from materials and the time step; a
-    pair derived from broadcasts of one value is a broadcast too."""
+    pair derived from materials of one value each is a broadcast of one cell."""
 
     cea: FloatArray
     ceb: FloatArray
@@ -129,8 +127,10 @@ class UpdateCoefficients:
         ``a = (1 - l) / (1 + l)`` and ``b = dt / (dl*eps) / (1 + l)``. Each
         pair is computed in place in its two outputs plus one transient, in
         that operation order, so the peak is five grid arrays. A pair whose
-        two inputs both have all strides 0 is computed on their one cell
-        and broadcast, so it takes no memory per cell.
+        two inputs each hold one value (``min == max`` over their stored
+        cells) is computed on one cell and broadcast, so it takes no memory
+        per cell; a loss of ``0.0`` beside ``-0.0`` is one value, as both
+        give ``1 - l == 1 + l == 1``.
         """
         dtype = materials.dtype
         dt = dtype.type(deltat)
@@ -139,9 +139,9 @@ class UpdateCoefficients:
         two = dtype.type(2.0)
 
         def pair(loss: FloatArray, medium: FloatArray) -> tuple[FloatArray, FloatArray]:
-            cell = all_strides_zero(loss, medium)
+            cell = all(stored_cells(x).min() == stored_cells(x).max() for x in (loss, medium))
             if cell:
-                loss, medium = stored_cells(loss), stored_cells(medium)
+                loss, medium = loss.flat[:1], medium.flat[:1]
             a = np.multiply(loss, dt)
             tmp = np.multiply(two, medium)
             np.divide(a, tmp, out=a)  # l
@@ -245,32 +245,6 @@ def _curl_rows(state: FieldState, field: str, ca, cb, lo: int, hi: int) -> list[
     return rows
 
 
-def _uniform_spans(ca: FloatArray, cb: FloatArray) -> list[tuple[int, int, object]]:
-    """Split a flat row's coefficients into ``(a, b, c)`` runs of whole blocks.
-
-    ``c`` is the scalar of a uniform run, where every cell has ``ca == 1``
-    and the bits of ``cb`` equal those of ``c``; it is ``None`` for a general
-    run. A block of ``MIN_CHUNK_CELLS`` cells is uniform when the minimum and
-    maximum of its ``ca`` are 1 and those of its ``cb`` bits are equal; runs
-    join consecutive blocks of one form and bit pattern. The last partial
-    block is general.
-    """
-    n = ca.size
-    size = backends.MIN_CHUNK_CELLS
-    whole = n - n % size
-    ca_blocks = ca[:whole].reshape(-1, size)
-    # compare bits, not values: 0.0 == -0.0, but the two scale a curl apart
-    bit_blocks = cb.view(f"u{cb.itemsize}")[:whole].reshape(-1, size)
-    low = bit_blocks.min(axis=1)
-    uniform = (ca_blocks.min(axis=1) == 1) & (ca_blocks.max(axis=1) == 1) & (low == bit_blocks.max(axis=1))
-    keys = [int(k) if u else None for u, k in zip(uniform, low)] + [None] * (whole < n)
-    cuts = [i for i in range(len(keys)) if i == 0 or keys[i] != keys[i - 1]] + [len(keys)]
-    return [
-        (a * size, min(b * size, n), None if keys[a] is None else cb[a * size])
-        for a, b in zip(cuts[:-1], cuts[1:])
-    ]
-
-
 def _sweep(runs: list[tuple], faces: list[tuple[FloatArray, FloatArray]]) -> None:
     """One chunk's half-step: ``f = ca*f + cb*curl`` per run (``f + cb*curl``
     when ``ca`` is ``None``), ``curl`` being the first difference less any
@@ -311,12 +285,12 @@ def _stepper(
     the other workers. A chunk's H and E runs share its scratch, one
     chunk-sized row per curl term; no two chunks share a buffer.
 
-    A run is ``(f, ca, cb, diffs, bufs)`` for :func:`_sweep`, flat views of
-    the run's cells: ``ca`` is ``None`` and ``cb`` a scalar of the array
-    dtype for a uniform run; in a general run ``ca`` and ``cb`` are
-    contiguous views, or zero-stride ones for coefficients broadcast from
-    one cell; ``f``, the diffs and ``bufs``, views of the chunk's scratch,
-    one per term, are always contiguous. ``run`` and ``step`` hand over
+    Each row is one run ``(f, ca, cb, diffs, bufs)`` for :func:`_sweep`,
+    flat views of the row's cells: uniform, ``ca`` ``None`` and ``cb`` a
+    dtype scalar, when the field's pair has all strides 0 and ``ca`` is 1;
+    else general, with ``ca`` and ``cb`` contiguous or zero-stride views.
+    ``f``, the diffs and ``bufs``, views of the chunk's scratch, one per
+    term, are always contiguous. ``run`` and ``step`` hand over
     C-contiguous arrays, so the flat views write through to the state.
     """
     plane = state.ez[0].size
@@ -327,11 +301,10 @@ def _stepper(
         scratch = np.empty((terms, (hi - lo) * plane), state.ez.dtype)
         for field, ca, cb in (("h", coeff.cha, coeff.chb), ("e", coeff.cea, coeff.ceb)):
             runs, faces = chunks[field, lo, hi] = [], []
+            uniform = all_strides_zero(ca, cb) and ca.flat[0] == 1
             for f, row_ca, row_cb, diffs, row_faces in _curl_rows(state, field, ca, cb, lo, hi):
-                for a, b, c in _uniform_spans(row_ca, row_cb):
-                    bufs = [buf[: b - a] for buf in scratch[: len(diffs)]]
-                    coeffs = (row_ca[a:b], row_cb[a:b]) if c is None else (None, c)
-                    runs.append((f[a:b], *coeffs, [(p[a:b], q[a:b]) for p, q in diffs], bufs))
+                coeffs = (None, cb.flat[0]) if uniform else (row_ca, row_cb)
+                runs.append((f, *coeffs, diffs, [buf[: f.size] for buf in scratch[: len(diffs)]]))
                 faces += [(face, np.empty_like(face)) for face in row_faces]
 
     # perfbench's kernel_kind tells H from E by these names alone; _stepper gives neither token.

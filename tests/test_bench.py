@@ -288,32 +288,41 @@ def _traced_peak(op) -> int:
         tracemalloc.stop()
 
 
+_LOSSY_3D = SimulationConfig(
+    extent=(32, 32, 32), time_tot=4, precision=Precision.SINGLE,
+    source=SourceSpec(location=(3, 16, 16)),
+)
+
+
 @pytest.mark.parametrize("backend", [Backend.serial(), Backend.parallel(2)], ids=str)
 @pytest.mark.parametrize(
-    "config",
+    "config, full_mu",
     [
-        SimulationConfig(extent=2**14, time_tot=4, source=SourceSpec(location=3)),
-        SimulationConfig(
-            extent=(32, 32, 32), time_tot=4, precision=Precision.SINGLE,
-            source=SourceSpec(location=(3, 16, 16)),
-        ),
+        (SimulationConfig(extent=2**14, time_tot=4, source=SourceSpec(location=3)), False),
+        (_LOSSY_3D, False),
+        (_LOSSY_3D, True),
     ],
-    ids=["1d-f64-vacuum", "3d-f32-lossy"],
+    ids=["1d-f64-vacuum", "3d-f32-lossy", "3d-f32-lossy-full-mu"],
 )
-def test_run_peaks_within_its_footprint(config, backend):
+def test_run_peaks_within_its_footprint(config, full_mu, backend):
     # both grids hold 128 KiB per array; the slack covers the Python objects
     # of the rows and the fork-joins, not a transient the size of a row.
     # Vacuum arrays are read-only broadcasts, so the lossy block is painted
     # on writable copies, made before tracing as a caller makes them. Its
     # (sigma, epsilon) pair is stored per cell, so the two coefficient
-    # arrays of that pair are added to the vacuum model.
+    # arrays of that pair are added to the vacuum model. Full arrays of
+    # ones and zeros for mu and sigma_star, as a caller may pass them, hold
+    # one value each, so their pair is one cell as it is for broadcasts.
     materials = make_vacuum_materials(config.extent, config.precision, config.units)
     bound = run_footprint_bytes(config) + 64 * 1024
     if config.dims == 3:
         epsilon, sigma = materials.epsilon.copy(), materials.sigma.copy()
         epsilon[8:24, 4:18, 10:28] = 2.5
         sigma[8:24, 4:18, 10:28] = 0.05
-        materials = MaterialGrid(epsilon, materials.mu, sigma, materials.sigma_star)
+        mu, sigma_star = materials.mu, materials.sigma_star
+        if full_mu:
+            mu, sigma_star = np.ones(config.shape, epsilon.dtype), np.zeros(config.shape, epsilon.dtype)
+        materials = MaterialGrid(epsilon, mu, sigma, sigma_star)
         bound += 2 * epsilon.nbytes
 
     def job():

@@ -98,8 +98,13 @@ def test_coefficients_peak_at_five_grid_arrays_with_the_same_bits(shape, precisi
         tracemalloc.stop()
     # four outputs plus one shared transient, and a little for the objects
     assert peak <= 5 * materials.epsilon.nbytes + 4096
+    _assert_per_cell_bits(materials, coeff, deltat, delta)
 
-    # the expressions written out, one temporary per operation
+
+def _assert_per_cell_bits(materials, coeff, deltat, delta):
+    """Each pair's bytes are those of the expressions written out on every
+    cell, one temporary per operation."""
+    dtype = materials.dtype
     dt, dl, one, two = (dtype.type(v) for v in (deltat, delta, 1.0, 2.0))
     for loss, medium, a, b in (
         (materials.sigma, materials.epsilon, coeff.cea, coeff.ceb),
@@ -109,6 +114,30 @@ def test_coefficients_peak_at_five_grid_arrays_with_the_same_bits(shape, precisi
         assert a.dtype == b.dtype == dtype
         assert a.tobytes() == ((one - ratio) / (one + ratio)).tobytes()
         assert b.tobytes() == (dt / (dl * medium) / (one + ratio)).tobytes()
+
+
+@pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.value)
+@pytest.mark.parametrize("signed_zero", [False, True], ids=["lossy-block", "signed-zero-loss"])
+def test_a_pair_whose_materials_hold_one_value_is_one_cell_with_the_bits_of_every_cell(signed_zero, precision):
+    """Full ``np.ones`` mu and ``np.zeros`` sigma_star, as around a lossy
+    block, hold one value each, so their pair is stored as one broadcast
+    cell; a loss that mixes ``0.0`` and ``-0.0`` is one value too."""
+    dtype = precision.dtype
+    shape = (12, 10, 8)
+    epsilon, sigma = np.ones(shape, dtype), np.zeros(shape, dtype)
+    mu, sigma_star = np.ones(shape, dtype), np.zeros(shape, dtype)
+    if signed_zero:
+        sigma[::2] = -0.0
+        sigma_star[:, 1::3] = -0.0
+        assert np.signbit(sigma).any() and not np.signbit(sigma).all()
+    else:
+        epsilon[3:7, 2:6, 1:5] = 4.0
+        sigma[3:7, 2:6, 1:5] = 0.03
+    materials = MaterialGrid(epsilon, mu, sigma, sigma_star)
+    coeff = UpdateCoefficients.from_materials(materials, 0.45, 1.0)
+    assert coeff.cha.strides == coeff.chb.strides == (0, 0, 0)
+    assert (coeff.cea.strides == (0, 0, 0)) == signed_zero
+    _assert_per_cell_bits(materials, coeff, 0.45, 1.0)
 
 
 def test_h_update_hand_example():
@@ -394,9 +423,9 @@ def test_backend_choice_does_not_change_bits():
 
 @pytest.mark.parametrize("extent", [40, (9, 7, 6)], ids=["1d", "3d"])
 def test_a_uniform_lossy_medium_as_broadcasts_gives_the_bits_of_full_arrays(extent, monkeypatch):
-    """Broadcast coefficients with ``ca != 1`` scan to one general run per
-    row, whose ``ca`` and ``cb`` are zero-stride views; full arrays of the
-    same values give the same bits."""
+    """Broadcast coefficients with ``ca != 1`` make one general run per row,
+    whose ``ca`` and ``cb`` are zero-stride views; full arrays of the same
+    values give the same bits."""
     monkeypatch.setattr("fdtdkit.backends.MIN_CHUNK_CELLS", 4)
     location = 20 if isinstance(extent, int) else (4, 3, 2)
     cfg = SimulationConfig(extent=extent, time_tot=12, courant=0.5, source=SourceSpec(location=location, n_lambda=6.0))

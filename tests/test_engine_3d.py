@@ -292,7 +292,8 @@ def test_frozen_faces_keep_their_bytes(source, monkeypatch):
             face = np.moveaxis(getattr(state, name), axis, 0)[index]
             face[::2, ::2] = -0.0
             face[1::2, 1::2] = rng.choice([-1e300, 1e300], face[1::2, 1::2].shape)
-    # a lossy half next to vacuum: both row forms, with floor-sized blocks
+    # a lossy half next to vacuum: mu and sigma_star hold one value, so H
+    # rows take the uniform form and E rows the general one
     epsilon, mu, sigma, sigma_star = np.ones(shape), np.ones(shape), np.zeros(shape), np.zeros(shape)
     epsilon[:, :, 3:] = 2.0
     sigma[:, :, 3:] = 0.05

@@ -4,9 +4,9 @@ Hypothesis draws the problems; ``derandomize=True`` makes every session draw
 the same ones, so the suite stays deterministic. While a test runs, the chunk
 floor is lowered to one cell so that ``parallel:3`` really splits these small
 grids; any chunking must give the same bits (see :mod:`fdtdkit.backends`).
-The engine also finds its uniform runs in blocks of that many cells, so on
-these grids vacuum and uniform blocks take the scalar short form of the
-update.
+A coefficient pair whose materials hold one value each, as in vacuum or
+when a drawn block is vacuum or fills the grid, is stored as one cell and
+takes the scalar short form of the update; any other pair the general one.
 """
 
 import math
@@ -241,9 +241,9 @@ def test_3d_vacuum_with_a_block_matches_the_oracle(data):
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(data=st.data())
 def test_vacuum_broadcasts_give_the_bits_of_full_arrays(data):
-    """``make_vacuum_materials`` stores one value per array, so its rows are
-    one uniform run each; the same values as full writable arrays are scanned
-    block by block, and both must give the same field bytes."""
+    """``make_vacuum_materials`` stores one value per array; the same values
+    as full writable arrays hold one value each too, so both give one-cell
+    coefficient pairs, one uniform run per row and the same field bytes."""
     precision = data.draw(st.sampled_from(list(Precision)), label="precision")
     units = data.draw(st.sampled_from(["normalized", "physical"]), label="units")
     if data.draw(st.booleans(), label="3d"):
