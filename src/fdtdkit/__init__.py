@@ -21,7 +21,6 @@ from .engine import (
     SnapshotSeries,
     UpdateCoefficients,
     run,
-    step,
 )
 from .linalg import (
     LuFactorization,
@@ -78,6 +77,5 @@ __all__ = [
     "run",
     "run_fdtd_bench",
     "run_linsolve_bench",
-    "step",
     "validate_stability",
 ]

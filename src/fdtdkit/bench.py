@@ -10,8 +10,10 @@ Conventions used throughout, chosen once and stated here:
 * Every timed quantity is the median of at least three samples, and each
   sample is stretched to a minimum measurement window by batching, so timer
   resolution never dominates.
-* Oversized problems are skipped with a reason, never attempted: a skip
-  record is an answer, a MemoryError mid-sweep is not.
+* Nothing over the memory cap is attempted, since a MemoryError mid-sweep is
+  no answer. A solve sweep skips each such problem with a skip record; a
+  field or bandwidth sweep checks every problem first and refuses the whole
+  sweep with :class:`MemoryCapError` before it allocates.
 * Before a rate sweep times a backend, one byte gate compares a sha256
   digest of its result with the first backend's. Only the digest is kept,
   so a sweep holds one job's memory at a time, as its memory cap assumes.
@@ -59,7 +61,7 @@ class MismatchedPairError(ValueError):
 
 
 class MemoryCapError(ValueError):
-    """A field run's footprint model exceeds the memory cap; raised before it allocates."""
+    """A field run's or a copy's footprint exceeds the memory cap; raised before it allocates."""
 
 
 class InsufficientSamplesError(ValueError):
@@ -113,21 +115,23 @@ def estimate_solve_bytes(n: int, precision: Precision) -> int:
     One matrix is factored in place, the original is kept for the residual
     check, and a handful of length-n vectors tag along. The factorization's
     own transient comes on top: :func:`fdtdkit.linalg.workspace_bytes`, which
-    :func:`run_linsolve_bench` adds for its widest backend.
+    :func:`run_linsolve_bench` adds.
     """
     itemsize = precision.dtype.itemsize
     return (2 * n * n + 4 * n) * itemsize
 
 
+def _require_memory(what: str, needed: int) -> None:
+    """Raise :class:`MemoryCapError` when ``needed`` bytes exceed :func:`default_memory_cap`."""
+    cap = default_memory_cap()
+    if needed > cap:
+        raise MemoryCapError(f"{what} needs about {needed} bytes, over the memory cap of {cap}")
+
+
 def require_run_memory(config: SimulationConfig) -> None:
     """Raise :class:`MemoryCapError` when ``run(config)`` would not fit under
     :func:`default_memory_cap`; call it before anything is allocated."""
-    needed = run_footprint_bytes(config)
-    cap = default_memory_cap()
-    if needed > cap:
-        raise MemoryCapError(
-            f"grid {config.shape} needs about {needed} bytes, over the memory cap of {cap}"
-        )
+    _require_memory(f"grid {config.shape}", run_footprint_bytes(config))
 
 
 def _timed_samples(op: Callable[[], object], repeats: int) -> list[float]:
@@ -386,7 +390,14 @@ def measure_copy_bandwidth(nbytes: int, repeats: int = 5, tier: str = "warm-buff
 
 
 def run_bandwidth_bench(sizes: Sequence[int], repeats: int = 5) -> list[BandwidthRecord]:
-    """Both tiers at every size, fresh-allocation first."""
+    """Both tiers at every size, fresh-allocation first.
+
+    Every size's source and destination are checked against the memory cap
+    before the first copy, so an oversized sweep raises
+    :class:`MemoryCapError` having allocated nothing.
+    """
+    for nbytes in sizes:
+        _require_memory(f"a copy of {nbytes} bytes", 2 * nbytes)
     return [
         measure_copy_bandwidth(nbytes, repeats, tier)
         for tier in BANDWIDTH_TIERS
@@ -430,13 +441,12 @@ def run_linsolve_bench(
     against the first backend's; a mismatch is a hard error.
     """
     cap = default_memory_cap() if memory_cap_bytes is None else memory_cap_bytes
-    workers = max((b.workers for b in backends), default=1)
     records: list[SolveBenchRecord] = []
     for n in sizes:
         if n < 1:
             raise NonPositiveInputError(f"matrix order must be >= 1, got {n}")
         for precision in precisions:
-            needed = estimate_solve_bytes(n, precision) + workspace_bytes(n, precision.dtype, workers)
+            needed = estimate_solve_bytes(n, precision) + workspace_bytes(n, precision.dtype)
             if needed > cap:
                 for backend in backends:
                     records.append(

@@ -290,7 +290,7 @@ def _stepper(
     dtype scalar, when the field's pair has all strides 0 and ``ca`` is 1;
     else general, with ``ca`` and ``cb`` contiguous or zero-stride views.
     ``f``, the diffs and ``bufs``, views of the chunk's scratch, one per
-    term, are always contiguous. ``run`` and ``step`` hand over
+    term, are always contiguous. ``run`` hands over
     C-contiguous arrays, so the flat views write through to the state.
     """
     plane = state.ez[0].size
@@ -321,31 +321,6 @@ def _stepper(
         execute_stencil(e, plan, executor.backend, executor)
 
     return advance
-
-
-def step(
-    state: FieldState,
-    coeff: UpdateCoefficients,
-    source: SourceSpec | None,
-    deltat: float,
-    backend: Backend = _SERIAL,
-) -> FieldState:
-    """One full step on a copy of ``state``: source write, H update, E update.
-
-    ``source=None`` advances the fields without driving them. The input state
-    is left untouched; the result owns its arrays and carries step count + 1.
-    Coefficients must match the state in shape and dtype, so every cell has
-    its factors and all arithmetic stays in the state's precision, and a
-    source must lie inside the state's grid.
-    """
-    require_matching(ez=state.ez, cea=coeff.cea)
-    if source is not None:
-        source.validate_for_extent(state.ez.shape)
-    n = state.step + 1
-    out = replace(state.copy(), step=n)
-    with StencilExecutor(backend) as executor:
-        _stepper(out, coeff, source, deltat, executor)(n)
-    return out
 
 
 # --- run loop -----------------------------------------------------------

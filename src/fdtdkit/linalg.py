@@ -12,13 +12,17 @@ right-looking blocked factorization. For each panel of ``_NB`` columns:
    row per call: ``a[i, k1:] -= a[i, k0:i] @ a[k0:i, k1:]``;
 3. the trailing matrix takes ``a[k1:, j0:j1] -= L21 @ a[k0:k1, j0:j1]`` over
    a fixed grid of ``_TILE``-column tiles, counted from the panel's right
-   edge and cut by :func:`execute_stencil` on a :class:`KernelPlan` over tile
-   indices.
+   edge, one tile after another.
 
-Chunk edges therefore always fall on tile edges, and every output element
-is computed by one GEMM of the same shape whatever the backend or worker
-count: Serial and Parallel(k) agree bitwise for every k. A matrix of order
-``n <= _NB`` is step 1 alone, the classic unblocked loop.
+Every backend runs the trailing update as one chunk of :func:`execute_stencil`,
+on the caller's thread: BLAS already runs each tile's GEMM on its own
+threads, so BLAS is the one parallel layer of the solve. A pool that split
+the tiles as well oversubscribed the CPUs: on a 2-CPU Xeon, n=1024 float64
+(perfbench ``lu-dense``, medians of 10 runs), ``parallel:2`` took 0.140 s
+against 0.113 s serial; as one chunk it takes 0.102 s against 0.100 s.
+Every output element is computed by one GEMM of the same shape whatever the
+backend or worker count, so Serial and Parallel(k) give the same bits. A
+matrix of order ``n <= _NB`` is step 1 alone, the classic unblocked loop.
 
 BLAS does not promise that GEMM and GEMV give the same bits for every BLAS
 thread count. With OpenBLAS they do at every size tried, and
@@ -31,15 +35,12 @@ guards it: it factors and solves the same matrices under
 n=1024 float64, serial, ``_NB = 32`` took 0.077 s and ``_NB = 64`` 0.088 s
 (n=2048: 0.53 s against 0.56 s). The panel step is elementwise and its
 cost grows with ``_NB``; a narrower panel makes the GEMMs thinner and
-doubles the passes over the trailing matrix. 128-column tiles leave up to
-8 chunks to split at n=1024 while each GEMM stays large; 64-column tiles
-were slower, and 256-column ones were within the noise while leaving half
-as many chunks.
+doubles the passes over the trailing matrix. 64-column tiles were slower,
+and 256-column ones were within the noise.
 
 Beyond its ``n * n`` result, :func:`lu_factor` holds one transient of at most
-``n * _TILE`` elements per running chunk (the tile product, or the panel's
-rank-1 product on the caller's thread), plus NumPy's iterator buffers;
-:func:`workspace_bytes` counts both.
+``n * _TILE`` elements at a time (the tile product, or the panel's rank-1
+product), plus NumPy's iterator buffers; :func:`workspace_bytes` counts both.
 
 Storage is the usual compact form: multipliers (unit lower triangle, diagonal
 implied) below the diagonal and the upper factor on and above it, plus the
@@ -60,7 +61,7 @@ _SERIAL = Backend.serial()
 
 # Panel width: columns factored unblocked before each trailing update.
 _NB = 32
-# Trailing-update tile width in columns; tiles are the unit of work split.
+# Trailing-update tile width in columns; it fixes every GEMM's shape.
 _TILE = 128
 
 
@@ -114,17 +115,15 @@ def _factor_panel(a: FloatArray, perm: np.ndarray, k0: int, k1: int) -> None:
         a[k + 1 :, k + 1 : k1] -= a[k + 1 :, k, None] * a[k, k + 1 : k1]
 
 
-def workspace_bytes(n: int, dtype: np.dtype, workers: int) -> int:
+def workspace_bytes(n: int, dtype: np.dtype) -> int:
     """Upper bound on what :func:`lu_factor` allocates beyond its result.
 
-    Per running chunk, at most ``workers`` at once: one tile product of up to
-    ``n * _TILE`` elements (or, on the caller's thread, the panel's rank-1
+    One tile product of up to ``n * _TILE`` elements (or the panel's rank-1
     product of fewer than ``n * _NB``), plus the buffers of up to
     ``np.getbufsize()`` elements that NumPy's iterator may give each of the
     two strided operands of the in-place subtract.
     """
-    per_chunk = n * min(n, _TILE) + 2 * np.getbufsize()
-    return workers * per_chunk * np.dtype(dtype).itemsize
+    return (n * min(n, _TILE) + 2 * np.getbufsize()) * np.dtype(dtype).itemsize
 
 
 def lu_factor(
@@ -134,8 +133,8 @@ def lu_factor(
 ) -> LuFactorization:
     """Factor ``a`` in its own precision; the input matrix is left untouched.
 
-    The trailing updates run on ``executor`` and are planned for its backend;
-    ``backend`` only opens a new executor when none is passed in.
+    The trailing updates run on ``executor`` as one chunk each, on every
+    backend; ``backend`` only opens a new executor when none is passed in.
 
     Raises :class:`SingularMatrixError` when a pivot column is exactly zero
     below and on the diagonal (graceful degradation stops there; near-zero
@@ -164,8 +163,7 @@ def lu_factor(
                     trailing[:, tile] -= l21 @ u12[:, tile]
 
             tiles = -(-(n - k1) // _TILE)
-            plan = KernelPlan.for_range(0, tiles, ex.backend, cells_per_index=(n - k1) * _TILE)
-            execute_stencil(kernel, plan, ex.backend, ex)
+            execute_stencil(kernel, KernelPlan(0, tiles, ((0, tiles),)), ex.backend, ex)
     return LuFactorization(lu=a, perm=perm)
 
 

@@ -16,7 +16,7 @@ import pytest
 from fdtdkit.backends import Backend
 from fdtdkit.bench import SolveBenchRecord, compute_bandwidth, compute_speedup, flop_count
 from fdtdkit.cli import main
-from fdtdkit.engine import UpdateCoefficients, run, step
+from fdtdkit.engine import UpdateCoefficients, run
 from fdtdkit.linalg import (
     SingularMatrixError,
     lu_factor,
@@ -33,6 +33,7 @@ from fdtdkit.model import (
 
 from energy import discrete_energy
 from oracle_1d import reference_run_1d
+from stepping import step
 
 _BACKENDS = (Backend.serial(), Backend.parallel(1), Backend.parallel(4), Backend.parallel(8))
 

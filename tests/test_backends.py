@@ -208,12 +208,16 @@ def test_a_refused_submit_raises_once_the_submitted_chunks_have_returned(monkeyp
     assert len(submits) == 2
 
 
-def test_run_and_lu_factor_report_a_thread_that_cannot_start(refused_thread_starts):
+def test_run_reports_a_thread_that_cannot_start_and_lu_factor_starts_none(refused_thread_starts):
     backend = Backend.parallel(2)
     config = SimulationConfig(extent=2**14, time_tot=2, source=SourceSpec(location=2**13))
     with pytest.raises(BackendResourceError, match="parallel:2"):
         run(config, backend=backend)
-    # n = 256 leaves two tiles to split after the first panel
-    a = np.eye(256) + 1.0
-    with pytest.raises(BackendResourceError, match="parallel:2"):
-        lu_factor(a, backend)
+    # BLAS is the one parallel layer of the solve: every trailing update is one
+    # chunk on the caller's thread, so no backend submits to its pool
+    a = np.random.default_rng(5).uniform(-1.0, 1.0, (256, 256))
+    serial = lu_factor(a)
+    for workers in (2, 8):
+        par = lu_factor(a, Backend.parallel(workers))
+        assert par.lu.tobytes() == serial.lu.tobytes()
+        assert par.perm.tobytes() == serial.perm.tobytes()

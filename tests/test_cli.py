@@ -89,9 +89,9 @@ def test_rejected_values_are_exit_2_and_name_the_problem(argv, message, tmp_path
     "argv",
     [
         ["simulate", "--xdim", "16384", "--steps", "2", "--backend", "parallel:2"],
-        ["bench-linsolve", "--sizes", "256", "--precision", "double", "--backends", "parallel:2"],
+        ["bench-fdtd", "--xdim", "16384", "--backends", "parallel:2"],
     ],
-    ids=["simulate", "bench-linsolve"],
+    ids=["simulate", "bench-fdtd"],
 )
 def test_a_thread_that_cannot_start_is_exit_1_without_a_traceback(
     argv, refused_thread_starts, tmp_path, capsys
@@ -134,11 +134,13 @@ def test_non_finite_fields_are_exit_1_and_write_no_csv(argv, tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["simulate", "--xdim", "4096"],
-        ["simulate3d", "--nx", "16", "--ny", "16", "--nz", "16"],
-        ["bench-fdtd", "--xdim", "64,4096"],
+        ["simulate", "--xdim", "4096", "--steps", "2"],
+        ["simulate3d", "--nx", "16", "--ny", "16", "--nz", "16", "--steps", "2"],
+        ["bench-fdtd", "--xdim", "64,4096", "--steps", "2"],
+        # a copy holds its source and its destination: 2 * 16384 bytes fit
+        ["bench-bandwidth", "--bytes", "16384,16385"],
     ],
-    ids=["simulate", "simulate3d", "bench-fdtd"],
+    ids=["simulate", "simulate3d", "bench-fdtd", "bench-bandwidth"],
 )
 def test_over_the_memory_cap_is_exit_2_before_any_allocation(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(bench, "default_memory_cap", lambda: 4096 * 8)
@@ -147,9 +149,10 @@ def test_over_the_memory_cap_is_exit_2_before_any_allocation(argv, tmp_path, mon
         raise AssertionError("allocated before the memory cap was checked")
 
     monkeypatch.setattr(bench, "run", no_allocation)
+    monkeypatch.setattr(bench, "measure_copy_bandwidth", no_allocation)
     monkeypatch.setattr("fdtdkit.cli.run", no_allocation)
     out = tmp_path / "out"
-    assert main(argv + ["--steps", "2", "--out", str(out)]) == 2
+    assert main(argv + ["--out", str(out)]) == 2
     assert "memory cap" in capsys.readouterr().err
     assert not out.exists()
 

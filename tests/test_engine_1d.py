@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fdtdkit.backends import Backend
-from fdtdkit.engine import SnapshotSeries, UpdateCoefficients, run, step
+from fdtdkit.engine import SnapshotSeries, UpdateCoefficients, run
 from fdtdkit.model import (
     FieldState1D,
     FieldState3D,
@@ -21,6 +21,7 @@ from fdtdkit.model import (
 
 from energy import discrete_energy
 from oracle_1d import reference_run_1d
+from stepping import step
 
 
 def vacuum_coefficients(xdim, deltat, delta=1.0, precision=Precision.DOUBLE):

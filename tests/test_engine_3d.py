@@ -8,7 +8,7 @@ import pytest
 
 import fdtdkit.engine as engine
 from fdtdkit.backends import Backend, KernelPlan
-from fdtdkit.engine import UpdateCoefficients, run, step
+from fdtdkit.engine import UpdateCoefficients, run
 from fdtdkit.model import (
     FieldState3D,
     MaterialGrid,
@@ -20,6 +20,7 @@ from fdtdkit.model import (
 
 from energy import discrete_energy
 from oracle_3d import reference_run_3d
+from stepping import step
 
 
 def vacuum_coefficients(shape, deltat):

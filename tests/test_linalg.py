@@ -219,7 +219,7 @@ def test_bytes_do_not_depend_on_the_blas_thread_count():
 def test_factor_and_solve_peak_memory_is_within_the_solve_model(precision, backend):
     n = 512
     a, b = _solve_problem(n, precision, 3)
-    budget = estimate_solve_bytes(n, precision) + workspace_bytes(n, a.dtype, backend.workers)
+    budget = estimate_solve_bytes(n, precision) + workspace_bytes(n, a.dtype)
     with StencilExecutor(backend) as ex:
         tracemalloc.start()
         try:
@@ -236,7 +236,7 @@ def test_residual_with_the_factors_alive_is_within_the_solve_model():
     # factors, so the norm of a must not need an n x n transient of its own
     n, precision, backend = 1024, Precision.DOUBLE, Backend.parallel(2)
     a, b = _solve_problem(n, precision, 3)
-    budget = estimate_solve_bytes(n, precision) + workspace_bytes(n, a.dtype, backend.workers)
+    budget = estimate_solve_bytes(n, precision) + workspace_bytes(n, a.dtype)
     with StencilExecutor(backend) as ex:
         tracemalloc.start()
         try:

@@ -4,6 +4,9 @@ Hypothesis draws the problems; ``derandomize=True`` makes every session draw
 the same ones, so the suite stays deterministic. While a test runs, the chunk
 floor is lowered to one cell so that ``parallel:3`` really splits these small
 grids; any chunking must give the same bits (see :mod:`fdtdkit.backends`).
+The lowered floor no longer splits the solver: every backend runs each
+trailing update of ``lu_factor`` as one chunk. The solver test lowers it
+still, so a change that split the tiles again would meet small chunks.
 A coefficient pair whose materials hold one value each, as in vacuum or
 when a drawn block is vacuum or fills the grid, is stored as one cell and
 takes the scalar short form of the update; any other pair the general one.
