@@ -35,7 +35,7 @@ from typing import Callable, ClassVar, Iterable, Sequence, Union
 
 import numpy as np
 
-from .backends import Backend, StencilExecutor
+from .backends import Backend
 from .engine import run, run_footprint_bytes
 from .linalg import lu_factor, lu_solve, relative_residual, workspace_bytes
 from .model import Precision, SimulationConfig
@@ -465,16 +465,13 @@ def run_linsolve_bench(
             a, b = _solve_problem(n, precision, seed)
             reference: bytes | None = None
             for backend in backends:
-                with StencilExecutor(backend) as ex:
-                    fac = lu_factor(a, backend, ex)
-                    x = lu_solve(fac, b)
-                    on = f"n={n} {precision.value}"
-                    reference = _byte_gate(reference, (fac.lu, fac.perm, x), backend, backends[0], on)
-                    del fac  # the residual's |a| transient must not stack on the factors
-                    residual = relative_residual(a, x, b)
-                    samples = _timed_samples(
-                        lambda: lu_solve(lu_factor(a, backend, ex), b), repeats
-                    )
+                fac = lu_factor(a, backend)
+                x = lu_solve(fac, b)
+                on = f"n={n} {precision.value}"
+                reference = _byte_gate(reference, (fac.lu, fac.perm, x), backend, backends[0], on)
+                del fac  # the residual's |a| transient must not stack on the factors
+                residual = relative_residual(a, x, b)
+                samples = _timed_samples(lambda: lu_solve(lu_factor(a, backend), b), repeats)
                 elapsed = statistics.median(samples)
                 flops = flop_count(n)
                 records.append(

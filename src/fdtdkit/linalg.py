@@ -4,10 +4,17 @@ Hand-rolled rather than delegated to LAPACK because the execution backends
 must produce byte-identical factors. The scheme is LAPACK ``dgetrf``'s
 right-looking blocked factorization. For each panel of ``_NB`` columns:
 
-1. the panel is factored unblocked, on the caller's thread: the pivot is the
-   first maximum of ``|a[k:, k]|`` (a plain serial argmax), whole rows are
-   swapped, and each rank-1 update ``a[i, j] -= l[i] * u[j]`` touches the
-   panel's columns only;
+1. the panel is copied once into a contiguous transposed buffer, where each
+   of its columns is a contiguous row, and factored there recursively as
+   LAPACK ``dgetrf2`` does (Toledo 1997, Gustavson 1997): factor the left
+   half of the columns, forward-substitute the right half's top rows,
+   update the rest with one GEMM, then recurse into the right half. One
+   column is the base case: its pivot is the first maximum of ``|column|``
+   (a plain serial argmax), the pivot row swap moves whole buffer columns,
+   and the column is divided by the pivot. The panel's swaps reach the rest
+   of the matrix once, when the panel is done: the buffer is written back
+   to the rows where they started, then only the rows that moved are
+   written, as whole rows (LAPACK ``dlaswp``);
 2. the panel's rows right of it become ``U12`` by forward substitution, one
    row per call: ``a[i, k1:] -= a[i, k0:i] @ a[k0:i, k1:]``;
 3. the trailing matrix takes ``a[k1:, j0:j1] -= L21 @ a[k0:k1, j0:j1]`` over
@@ -20,27 +27,38 @@ threads, so BLAS is the one parallel layer of the solve. A pool that split
 the tiles as well oversubscribed the CPUs: on a 2-CPU Xeon, n=1024 float64
 (perfbench ``lu-dense``, medians of 10 runs), ``parallel:2`` took 0.140 s
 against 0.113 s serial; as one chunk it takes 0.102 s against 0.100 s.
-Every output element is computed by one GEMM of the same shape whatever the
-backend or worker count, so Serial and Parallel(k) give the same bits. A
-matrix of order ``n <= _NB`` is step 1 alone, the classic unblocked loop.
+The panel runs on the caller's thread too, so every output element is
+computed by the same operations whatever the backend or worker count, and
+Serial and Parallel(k) give the same bits. A matrix of order ``n <= _NB``
+is step 1 alone.
 
 BLAS does not promise that GEMM and GEMV give the same bits for every BLAS
 thread count. With OpenBLAS they do at every size tried, and
-``tests/test_linalg.py::test_bytes_do_not_depend_on_the_blas_thread_count``
-guards it: it factors and solves the same matrices under
-``OPENBLAS_NUM_THREADS=1`` and ``=2`` and requires equal bytes.
+``tests/test_linalg.py`` guards it: it factors and solves the same
+matrices, with and without row swaps, under ``OPENBLAS_NUM_THREADS=1`` and
+``=2`` and requires equal bytes.
 
-``_NB = 32`` and ``_TILE = 128`` were chosen by timing ``lu_factor`` on a
-2-CPU Xeon (Haswell kernels, OpenBLAS 0.3.31), 21 interleaved repeats: at
-n=1024 float64, serial, ``_NB = 32`` took 0.077 s and ``_NB = 64`` 0.088 s
-(n=2048: 0.53 s against 0.56 s). The panel step is elementwise and its
-cost grows with ``_NB``; a narrower panel makes the GEMMs thinner and
-doubles the passes over the trailing matrix. 64-column tiles were slower,
-and 256-column ones were within the noise.
+``_NB = 64`` and ``_TILE = 128`` were chosen by timing ``lu_factor`` on a
+2-CPU Xeon (Haswell kernels, OpenBLAS 0.3.31), n=1024 float64, serial. With
+the recursive panel, two runs of ten alternating pairs of ``_NB = 32`` and
+``64`` (median of 5 calls each) read 0.083 s against 0.073 s and 0.066 s
+against 0.057 s, 64 faster in 9 of 10 pairs in each (n=2048: 0.45 s against
+0.33 s, 10 of 10).
+The recursion does most of the panel's work in GEMMs, so a wider panel
+gives thicker trailing GEMMs and half the passes over the trailing matrix;
+the old unblocked panel, whose elementwise cost grew with the width, had
+made 32 the faster. With that panel and ``_NB = 32``, 64-column tiles were
+slower and 256-column ones within the noise.
 
-Beyond its ``n * n`` result, :func:`lu_factor` holds one transient of at most
-``n * _TILE`` elements at a time (the tile product, or the panel's rank-1
-product), plus NumPy's iterator buffers; :func:`workspace_bytes` counts both.
+Beyond its ``n * n`` result, :func:`lu_factor` holds at most ``n * _TILE``
+elements of transients at a time, since ``2 * _NB <= _TILE``: a tile
+product; the panel's buffer of ``_NB * (n - k0)`` elements with the row
+copy that the transpose is made from, or with a recursion step's GEMM
+product; or, once the buffer is written back, the copy of the rows that
+moved, at most ``2 * _NB`` of them. Below order ``_TILE`` the transpose's
+two copies may pass ``n * n`` by up to ``n * _NB`` elements, which the
+allowance for NumPy's iterator buffers covers; :func:`workspace_bytes`
+counts both.
 
 Storage is the usual compact form: multipliers (unit lower triangle, diagonal
 implied) below the diagonal and the upper factor on and above it, plus the
@@ -59,8 +77,8 @@ from .model import FloatArray, all_finite, require_float_dtype
 
 _SERIAL = Backend.serial()
 
-# Panel width: columns factored unblocked before each trailing update.
-_NB = 32
+# Panel width: columns factored in one buffer before each trailing update.
+_NB = 64
 # Trailing-update tile width in columns; it fixes every GEMM's shape.
 _TILE = 128
 
@@ -102,26 +120,60 @@ def _as_square_float(a: FloatArray) -> FloatArray:
     return a
 
 
+def _factor_buffer(t: FloatArray, rows: np.ndarray, k0: int, c0: int, c1: int) -> None:
+    """Recursive LU (``dgetrf2``) of panel columns ``[c0, c1)`` in the buffer.
+
+    ``t`` is the panel transposed, so ``t[c, r]`` is the entry of local row
+    ``r`` and column ``c``. A pivot's row swap moves whole buffer columns at
+    once, before any other column reads those rows, and the same two entries
+    of ``rows``, which maps each buffer column to the local row it started as.
+    """
+    if c1 - c0 == 1:
+        p = c0 + int(np.argmax(np.abs(t[c0, c0:])))
+        if t[c0, p] == 0.0:
+            raise SingularMatrixError(k0 + c0)
+        if p != c0:
+            t[:, c0], t[:, p] = t[:, p].copy(), t[:, c0].copy()
+            rows[c0], rows[p] = rows[p], rows[c0]
+        t[c0, c0 + 1 :] /= t[c0, c0]
+        return
+    mid = (c0 + c1) // 2
+    _factor_buffer(t, rows, k0, c0, mid)
+    # the right half's top rows by forward substitution with the left's unit L
+    for k in range(c0, mid - 1):
+        t[mid:c1, k + 1 : mid] -= t[mid:c1, k, None] * t[k, k + 1 : mid]
+    t[mid:c1, mid:] -= t[mid:c1, c0:mid] @ t[c0:mid, mid:]
+    _factor_buffer(t, rows, k0, mid, c1)
+
+
 def _factor_panel(a: FloatArray, perm: np.ndarray, k0: int, k1: int) -> None:
-    """Unblocked LU of columns ``[k0, k1)`` from row ``k0`` down, in place."""
-    for k in range(k0, k1):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if a[p, k] == 0.0:
-            raise SingularMatrixError(k)
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-        a[k + 1 :, k] /= a[k, k]
-        a[k + 1 :, k + 1 : k1] -= a[k + 1 :, k, None] * a[k, k + 1 : k1]
+    """LU of columns ``[k0, k1)`` from row ``k0`` down, in place.
+
+    The panel is factored in a contiguous transposed copy; its row swaps then
+    reach the rest of ``a`` and ``perm`` at once, moved rows only.
+    """
+    # rows first, then the transpose: 2.5x faster than one strided copy
+    t = np.ascontiguousarray(a[k0:, k0:k1]).T.copy()
+    start = np.arange(t.shape[1])
+    rows = start.copy()
+    _factor_buffer(t, rows, k0, 0, k1 - k0)
+    # back where each row started, so the buffer is freed before rows move
+    a[k0 + rows, k0:k1] = t.T
+    del t
+    moved = np.flatnonzero(rows != start)
+    a[k0 + moved] = a[k0 + rows[moved]]
+    perm[k0 + moved] = perm[k0 + rows[moved]]
 
 
 def workspace_bytes(n: int, dtype: np.dtype) -> int:
     """Upper bound on what :func:`lu_factor` allocates beyond its result.
 
-    One tile product of up to ``n * _TILE`` elements (or the panel's rank-1
-    product of fewer than ``n * _NB``), plus the buffers of up to
+    One tile product of up to ``n * _TILE`` elements, or the panel's
+    transposed buffer with its row copy or a recursion step's GEMM product,
+    or the moved-rows copy of at most ``2 * _NB`` rows: each fits in
+    ``n * _TILE`` (see the module docstring). Plus the buffers of up to
     ``np.getbufsize()`` elements that NumPy's iterator may give each of the
-    two strided operands of the in-place subtract.
+    two strided operands of an in-place subtract.
     """
     return (n * min(n, _TILE) + 2 * np.getbufsize()) * np.dtype(dtype).itemsize
 

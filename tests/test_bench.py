@@ -128,8 +128,8 @@ def test_linsolve_bench_rejects_a_backend_that_disagrees(fast_timing, monkeypatc
     # one ulp in one factor entry, on parallel backends only, is a wrong answer
     exact_lu_factor = bench.lu_factor
 
-    def off_by_one_ulp(a, backend, executor):
-        fac = exact_lu_factor(a, backend, executor)
+    def off_by_one_ulp(a, backend):
+        fac = exact_lu_factor(a, backend)
         if backend.is_parallel:
             fac.lu[0, 0] = np.nextafter(fac.lu[0, 0], np.inf)
         return fac

@@ -12,6 +12,7 @@ import pytest
 from fdtdkit.backends import Backend, StencilExecutor
 from fdtdkit.bench import _solve_problem, estimate_solve_bytes
 from fdtdkit.linalg import (
+    _NB,
     LuFactorization,
     SingularMatrixError,
     lu_factor,
@@ -174,6 +175,20 @@ def test_zero_pivot_past_the_first_panel_names_its_column():
         with pytest.raises(SingularMatrixError) as err:
             lu_factor(a, backend)
         assert err.value.column == 100
+    # each column lies inside a panel, right of a split of the panel's
+    # recursion; _NB + 17 is the second panel's local column 17, and the
+    # error names the matrix's column, not the panel's. Every row from the
+    # pivot down is zero in every column up to it, so the elimination keeps
+    # those zeros exact.
+    rng = np.random.default_rng(5)
+    n = _NB + 40
+    for column in (17, 47, _NB + 17):
+        a = rng.uniform(-1.0, 1.0, (n, n))
+        a[column:, : column + 1] = 0.0
+        for backend in (Backend.serial(), Backend.parallel(2)):
+            with pytest.raises(SingularMatrixError) as err:
+                lu_factor(a, backend)
+            assert err.value.column == column
 
 
 _BLAS_PROBE = """
@@ -186,6 +201,10 @@ from fdtdkit.model import Precision
 
 for precision in (Precision.SINGLE, Precision.DOUBLE):
     a, b = _solve_problem(1000, precision, 17)
+    if sys.argv[1] == "plain":
+        # the draw without its diagonal boost: nearly every column swaps
+        rng = np.random.default_rng([17, 1000])
+        a = rng.uniform(-1.0, 1.0, (1000, 1000)).astype(precision.dtype)
     for backend in (Backend.serial(), Backend.parallel(2)):
         fac = lu_factor(a, backend)
         x = lu_solve(fac, b)
@@ -194,16 +213,15 @@ for precision in (Precision.SINGLE, Precision.DOUBLE):
 """
 
 
-def test_bytes_do_not_depend_on_the_blas_thread_count():
-    # n = 1000 is not a multiple of the trailing-update tile, so the last
-    # tile of every step is a narrower GEMM.
+def _assert_blas_thread_count_keeps_the_bytes(matrix):
     src = str(Path(__file__).resolve().parents[1] / "src")
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         done = subprocess.run(
-            [sys.executable, "-c", _BLAS_PROBE], env=env, capture_output=True, text=True, timeout=300
+            [sys.executable, "-c", _BLAS_PROBE, matrix],
+            env=env, capture_output=True, text=True, timeout=300,
         )
         assert done.returncode == 0, done.stderr
         digests.append(done.stdout.splitlines())
@@ -212,6 +230,18 @@ def test_bytes_do_not_depend_on_the_blas_thread_count():
     # every backend agrees within a precision as well
     for lines in (digests[0][:2], digests[0][2:]):
         assert len({line.split()[-1] for line in lines}) == 1
+
+
+def test_bytes_do_not_depend_on_the_blas_thread_count():
+    # n = 1000 is not a multiple of the trailing-update tile, so the last
+    # tile of every step is a narrower GEMM.
+    _assert_blas_thread_count_keeps_the_bytes("boosted")
+
+
+def test_bytes_with_row_swaps_do_not_depend_on_the_blas_thread_count():
+    # without the diagonal boost the panels swap rows, so the swaps that
+    # each panel applies once to the rest of the matrix run as well
+    _assert_blas_thread_count_keeps_the_bytes("plain")
 
 
 @pytest.mark.parametrize("precision", [Precision.SINGLE, Precision.DOUBLE], ids=lambda p: p.value)
@@ -227,6 +257,31 @@ def test_factor_and_solve_peak_memory_is_within_the_solve_model(precision, backe
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+    # the caller's matrix and right-hand side were allocated before tracing
+    assert peak <= budget - a.nbytes
+
+
+@pytest.mark.parametrize("precision", [Precision.SINGLE, Precision.DOUBLE], ids=lambda p: p.value)
+@pytest.mark.parametrize("backend", [Backend.serial(), Backend.parallel(2)], ids=str)
+def test_peak_memory_is_within_the_solve_model_when_every_column_swaps(precision, backend):
+    # the n * I boost means no row of _solve_problem's matrix ever swaps.
+    # Row i here holds its row i + 1, and the boosted matrix is diagonally
+    # dominant by columns, so every column but the last takes its pivot
+    # from the bottom row: every panel swaps each of its rows and copies
+    # the rows that moved.
+    n = 512
+    a, b = _solve_problem(n, precision, 3)
+    a = np.roll(a, -1, axis=0)
+    budget = estimate_solve_bytes(n, precision) + workspace_bytes(n, a.dtype)
+    with StencilExecutor(backend) as ex:
+        tracemalloc.start()
+        try:
+            fac = lu_factor(a, backend, ex)
+            lu_solve(fac, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert fac.perm.tolist() == np.roll(np.arange(n), 1).tolist()
     # the caller's matrix and right-hand side were allocated before tracing
     assert peak <= budget - a.nbytes
 

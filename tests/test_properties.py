@@ -342,6 +342,10 @@ def test_blocked_factor_is_bitwise_serial_and_reconstructs_the_matrix(data):
     assert par.lu.tobytes() == serial.lu.tobytes()
     assert par.perm.tobytes() == serial.perm.tobytes()
     assert sorted(serial.perm) == list(range(n))
+    if not dominant:
+        # the rows swap, and partial pivoting bounds every multiplier by one
+        # exactly: each is an entry divided by the largest of its column
+        assert (np.abs(np.tril(serial.lu, -1)) <= 1).all()
 
     x = lu_solve(serial, b)
     assert relative_residual(a, x, b) <= residual_bound(n, precision.eps)
