@@ -7,6 +7,7 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from fdtdkit.cli import (
 )
 from fdtdkit.engine import SnapshotSeries, run, run_footprint_bytes
 from fdtdkit.model import FieldState1D, FieldState3D, Precision, SimulationConfig, SourceSpec
+
+from reference_csv import first_difference, reference_csv
 
 
 def test_simulate_defaults():
@@ -259,6 +262,99 @@ def test_csv_bytes_match_stored_digests(state_cls, extent, dtype, digest):
     buf = io.StringIO()
     emit_snapshot_csv(_bit_pattern_series(state_cls, extent, dtype), buf)
     assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == digest
+
+
+def _largest_double_below_power_of_ten(power):
+    exact = Fraction(10) ** power
+    nearest = float(exact)
+    return nearest if Fraction(nearest) < exact else math.nextafter(nearest, 0.0)
+
+
+def _percent_g_cases(dtype):
+    """Values whose 17-digit text is easy to get wrong, as ``dtype``."""
+    info = np.finfo(dtype)
+    subnormal = np.nextafter(dtype(0), dtype(1))
+    cases = [0.0, -0.0, math.nan, math.inf, -math.inf, info.max, -info.max, info.tiny, -info.tiny,
+             subnormal, -subnormal, info.eps, 1e-6, -1e-6, 1e-5, 0.1, 1.0, 9.5, 10.0]
+    # 5 ulps either side of each power of ten from 1e-8 to 1e18; the double
+    # nearest 1e-6 lies below 10**-6, so it prints as 9.9999999999999995e-07
+    for k in range(-8, 19):
+        value = dtype(float(Fraction(10) ** k))
+        for _ in range(5):
+            value = np.nextafter(value, dtype(0))
+        for _ in range(11):
+            cases += [value, -value]
+            value = np.nextafter(value, dtype(math.inf))
+    # Halfway cases: k / 2**q with k odd has q decimals, the last a 5. In
+    # [10**e, 10**(e + 1)) with q = 17 - e that makes 18 significant digits,
+    # so the 17th rounds half to even.
+    for e in range(-8, 4):
+        q = 17 - e
+        first = math.ceil(Fraction(10) ** e * 2**q) | 1
+        last = math.ceil(Fraction(10) ** (e + 1) * 2**q) - 1
+        last -= 1 - last % 2
+        for k in {first, first + 2, (first + last) // 2 | 1, last - 2, last}:
+            if first <= k <= last and k < 2 ** (info.nmant + 1):
+                cases.append(k / 2**q)
+    # the doubles nearest a carry into the exponent
+    cases += [_largest_double_below_power_of_ten(k) for k in range(-7, 3)]
+    return np.array(cases, dtype)
+
+
+def _percent_g_values(dtype):
+    rng = np.random.default_rng(3)
+    field_like = rng.standard_normal(2000) * 10.0 ** rng.uniform(-7.0, 1.5, 2000)
+    signalling_nans = {
+        np.float32: np.array([0x7F800001, 0xFF800001], np.uint32),
+        np.float64: np.array([0x7FF0000000000001, 0xFFF0000000000001], np.uint64),
+    }[dtype].view(dtype)
+    return np.concatenate([
+        _percent_g_cases(dtype),
+        signalling_nans,
+        _bit_pattern_values(2000, dtype, seed=7),
+        field_like.astype(dtype),
+    ])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("zeros_between", [0, 3], ids=["dense", "mostly-zero"])
+def test_csv_prints_every_value_as_percent_17g(dtype, zeros_between):
+    # With zeros between the values, most of each block is +0.0 and the
+    # writer computes digits for the other values only.
+    values = _percent_g_values(dtype)
+    ez = np.zeros(values.size * (zeros_between + 1), dtype)
+    ez[:: zeros_between + 1] = values
+    hy = np.zeros_like(ez) if zeros_between else ez[::-1].copy()
+    series = SnapshotSeries(states=(FieldState1D(ez=ez, hy=hy, step=5),))
+    buf = io.StringIO()
+    emit_snapshot_csv(series, buf)
+    assert first_difference(buf.getvalue(), reference_csv(series)) is None
+
+
+def test_no_double_of_the_exact_digit_range_rounds_up_to_a_power_of_ten():
+    # The writer computes digits exactly for magnitudes in [1e-6, 10), as the
+    # integer nearest |v| * 10**(16 - e), e the decimal exponent. It has no
+    # carry step: only the largest double below 10**-5, ..., 10**1 could
+    # round up to 10**17, and none does.
+    for power in range(-5, 2):
+        below = _largest_double_below_power_of_ten(power)
+        assert Fraction(below) * Fraction(10) ** (17 - power) < 10**17 - Fraction(1, 2)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_csv_rows_that_mix_exact_digits_zeros_and_per_value_text(dtype):
+    kinds = np.array([0.5, 0.0, -3.25e-6, math.nan, -0.0, 1e30, 7e-9, -math.inf, 2.0**-140, 9.999], dtype)
+    shape = (11, 13, 17)
+    cells = np.arange(math.prod(shape))
+    # every row holds six different kinds; the second state is mostly +0.0
+    mixed = {name: kinds[(cells + 3 * c) % kinds.size].reshape(shape)
+             for c, name in enumerate(FieldState3D.NAMES)}
+    sparse = {name: np.where(cells % 7 == c, kinds[(cells + c) % kinds.size], 0.0).astype(dtype).reshape(shape)
+              for c, name in enumerate(FieldState3D.NAMES)}
+    series = SnapshotSeries(states=(FieldState3D(**mixed, step=3), FieldState3D(**sparse, step=17)))
+    buf = io.StringIO()
+    emit_snapshot_csv(series, buf)
+    assert first_difference(buf.getvalue(), reference_csv(series)) is None
 
 
 def test_csv_round_trips_doubles_exactly(tmp_path):

@@ -12,6 +12,7 @@ when a drawn block is vacuum or fills the grid, is stored as one cell and
 takes the scalar short form of the update; any other pair the general one.
 """
 
+import io
 import math
 
 import numpy as np
@@ -23,7 +24,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 import fdtdkit.backends as backends  # noqa: E402
 from fdtdkit.backends import Backend, KernelPlan  # noqa: E402
-from fdtdkit.engine import UpdateCoefficients, run  # noqa: E402
+from fdtdkit.cli import emit_snapshot_csv  # noqa: E402
+from fdtdkit.engine import SnapshotSeries, UpdateCoefficients, run  # noqa: E402
 from fdtdkit.linalg import (  # noqa: E402
     _NB,
     _TILE,
@@ -33,6 +35,7 @@ from fdtdkit.linalg import (  # noqa: E402
     residual_bound,
 )
 from fdtdkit.model import (  # noqa: E402
+    FieldState1D,
     MaterialGrid,
     Precision,
     SimulationConfig,
@@ -44,6 +47,7 @@ from fdtdkit.model import (  # noqa: E402
 
 from oracle_1d import reference_run_1d  # noqa: E402
 from oracle_3d import reference_run_3d  # noqa: E402
+from reference_csv import first_difference, reference_csv  # noqa: E402
 
 _BACKENDS = (Backend.serial(), Backend.parallel(3))
 
@@ -370,3 +374,30 @@ def test_every_accepted_worker_count_round_trips_through_str(text):
     except ValueError:
         return
     assert str(backend) == "parallel:" + text
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_csv_text_is_percent_17g_for_any_float(data):
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+    width = 8 * np.dtype(dtype).itemsize
+    # raw bit patterns (signalling NaNs among them), any float, and the
+    # magnitudes whose digits the writer computes exactly
+    bits = data.draw(st.lists(st.integers(0, 2**width - 1), max_size=100))
+    floats = data.draw(st.lists(st.floats(width=width), max_size=100))
+    tiny = float(dtype(1e-6))
+    exact = data.draw(st.lists(st.floats(tiny, 10.0, width=width) | st.floats(-10.0, -tiny, width=width), max_size=100))
+    values = np.concatenate([
+        np.array(bits, np.uint32 if width == 32 else np.uint64).view(dtype),
+        np.array(floats + exact, dtype),
+    ])
+    # one value per row, then that many +0.0 rows: with three or more, most
+    # of each block is zero and only the other values get digits
+    zeros = data.draw(st.integers(0, 4))
+    ez = np.zeros(max(1, values.size * (zeros + 1)), dtype)
+    ez[: values.size * (zeros + 1) : zeros + 1] = values
+    hy = np.zeros_like(ez) if zeros else ez[::-1].copy()
+    series = SnapshotSeries(states=(FieldState1D(ez=ez, hy=hy, step=data.draw(st.integers(0, 10**6))),))
+    buf = io.StringIO()
+    emit_snapshot_csv(series, buf)
+    assert first_difference(buf.getvalue(), reference_csv(series)) is None
