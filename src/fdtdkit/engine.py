@@ -49,9 +49,16 @@ Both give the same bits for every cell: ``1*f == f`` exactly, a dtype
 scalar times the curl is the per-cell product, and ``+`` and ``*`` commute
 bitwise. :meth:`UpdateCoefficients.from_materials` stores a pair as one
 cell when its materials hold one value each, so vacuum is uniform and a
-medium that varies is general. Both forms write through
-``out=`` into scratch buffers that a run allocates once per chunk and that
-the chunk's H and E rows share, so a step allocates nothing.
+medium that varies is general.
+
+A row is cut into consecutive blocks of at most ``_BLOCK_BYTES`` bytes of
+its field, and each block is one run, so a run's operands and its scratch
+stay in a core's L2 between its three or four ufunc passes instead of
+streaming the whole row through memory each time. Both forms write through
+``out=`` into scratch buffers of one block per curl term (a whole chunk
+when the chunk is smaller), which a run allocates once per chunk and which
+the chunk's runs share, so a step allocates nothing. Blocks only reorder
+independent cells, so they change no bit.
 
 Loss enters through semi-implicit coefficients. With ``le = sigma*dt/(2*eps)``
 and ``lh = sigma_star*dt/(2*mu)``::
@@ -102,6 +109,16 @@ from .model import (
 )
 
 _SERIAL = Backend.serial()
+
+# Largest block of a row, in bytes of its field, that one run of _sweep takes.
+# Fitted, not derived: how many blocks a run keeps in L2 depends on its form
+# and terms, and smaller blocks cost more ufunc calls, each retaking the GIL
+# while other workers need it. Over 64 KiB to 2 MiB blocks on 1D f64 and 3D
+# f32/f64 grids, serial and parallel:2 (BENCH_cache_blocks.json), 256 KiB was
+# within 7% of the fastest size on average and 28% at worst; 128 KiB was
+# faster on serial but up to 57% slower on parallel:2. Read when a run builds
+# its rows, so tests may lower it.
+_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -248,7 +265,9 @@ def _curl_rows(state: FieldState, field: str, ca, cb, lo: int, hi: int) -> list[
 def _sweep(runs: list[tuple], faces: list[tuple[FloatArray, FloatArray]]) -> None:
     """One chunk's half-step: ``f = ca*f + cb*curl`` per run (``f + cb*curl``
     when ``ca`` is ``None``), ``curl`` being the first difference less any
-    second, between saving the chunk's frozen faces and writing them back."""
+    second, between saving the chunk's frozen faces and writing them back.
+    A run is one block of a row; its ``bufs`` are the chunk's one block of
+    scratch per term, which every run reuses."""
     for face, saved in faces:
         np.copyto(saved, face)
     for f, ca, cb, ((p, q), *second), bufs in runs:
@@ -282,29 +301,36 @@ def _stepper(
     One plan over the leading axis drives both half-steps, and one loop
     builds every chunk's H and E runs, scratch and face buffers once, not
     per step: the Python work of a chunk runs under the GIL, where it stalls
-    the other workers. A chunk's H and E runs share its scratch, one
-    chunk-sized row per curl term; no two chunks share a buffer.
+    the other workers. A chunk's H and E runs share its scratch, one block
+    per curl term (the chunk's cells, if fewer); no two chunks share a
+    buffer.
 
-    Each row is one run ``(f, ca, cb, diffs, bufs)`` for :func:`_sweep`,
-    flat views of the row's cells: uniform, ``ca`` ``None`` and ``cb`` a
-    dtype scalar, when the field's pair has all strides 0 and ``ca`` is 1;
-    else general, with ``ca`` and ``cb`` contiguous or zero-stride views.
-    ``f``, the diffs and ``bufs``, views of the chunk's scratch, one per
-    term, are always contiguous. ``run`` hands over
-    C-contiguous arrays, so the flat views write through to the state.
+    Each row is cut into blocks of ``_BLOCK_BYTES // itemsize`` cells, the
+    last one possibly shorter, and each block is one run ``(f, ca, cb,
+    diffs, bufs)`` for :func:`_sweep`, flat views of the block's cells:
+    uniform, ``ca`` ``None`` and ``cb`` a dtype scalar, when the field's
+    pair has all strides 0 and ``ca`` is 1; else general, with ``ca`` and
+    ``cb`` contiguous or zero-stride views. ``f``, the diffs and ``bufs``,
+    views of the chunk's scratch, one per term, are always contiguous.
+    ``run`` hands over C-contiguous arrays, so the flat views write through
+    to the state.
     """
     plane = state.ez[0].size
     plan = KernelPlan.for_range(0, len(state.ez), executor.backend, cells_per_index=plane)
     terms = _curl_terms(state.NAMES)
+    block = _BLOCK_BYTES // state.ez.itemsize
     chunks: dict[tuple[str, int, int], tuple[list, list]] = {}
     for lo, hi in plan.chunks:
-        scratch = np.empty((terms, (hi - lo) * plane), state.ez.dtype)
+        scratch = np.empty((terms, min(block, (hi - lo) * plane)), state.ez.dtype)
         for field, ca, cb in (("h", coeff.cha, coeff.chb), ("e", coeff.cea, coeff.ceb)):
             runs, faces = chunks[field, lo, hi] = [], []
             uniform = all_strides_zero(ca, cb) and ca.flat[0] == 1
             for f, row_ca, row_cb, diffs, row_faces in _curl_rows(state, field, ca, cb, lo, hi):
-                coeffs = (None, cb.flat[0]) if uniform else (row_ca, row_cb)
-                runs.append((f, *coeffs, diffs, [buf[: f.size] for buf in scratch[: len(diffs)]]))
+                for start in range(0, f.size, block):
+                    s = slice(start, start + block)
+                    bufs = [buf[: f[s].size] for buf in scratch[: len(diffs)]]
+                    coeffs = (None, cb.flat[0]) if uniform else (row_ca[s], row_cb[s])
+                    runs.append((f[s], *coeffs, [(p[s], q[s]) for p, q in diffs], bufs))
                 faces += [(face, np.empty_like(face)) for face in row_faces]
 
     # perfbench's kernel_kind tells H from E by these names alone; _stepper gives neither token.
@@ -342,11 +368,13 @@ def run_footprint_bytes(config: SimulationConfig) -> int:
     """Bytes that ``run(config)`` holds while it steps, on the vacuum it
     builds when no materials are passed.
 
-    Counts the live fields, the scratch buffers (one grid's worth per curl
-    term of a row, summed over the chunks), one face buffer per trailing
-    curl axis of each component and every snapshot copy. Vacuum materials
-    and their coefficients are broadcasts of one cell, so none is counted.
-    Transients of the coefficient set-up and of the CSV writer are left out.
+    Counts the live fields, the scratch buffers, one face buffer per
+    trailing curl axis of each component and every snapshot copy. Vacuum
+    materials and their coefficients are broadcasts of one cell, so none is
+    counted. Transients of the coefficient set-up and of the CSV writer are
+    left out. The scratch term, one grid's worth per curl term of a row, is
+    an upper bound: a run allocates one block per term per chunk, which is
+    a grid's worth only when every chunk is at most one block.
     """
     names = _state_class(config).NAMES
     cadence = config.snapshot_every

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import fdtdkit.bench as bench
-from fdtdkit.backends import Backend
+import fdtdkit.engine as engine
+from fdtdkit.backends import Backend, KernelPlan
 from fdtdkit.bench import (
     BandwidthRecord,
     FdtdBenchRecord,
@@ -331,6 +332,19 @@ def test_run_peaks_within_its_footprint(config, full_mu, backend):
     assert _traced_peak(job) <= bound
 
 
+@pytest.mark.parametrize("backend", [Backend.serial(), Backend.parallel(2)], ids=str)
+def test_run_holds_one_block_of_scratch_per_term_and_chunk(backend):
+    # a row spans several blocks, so the scratch is one block per chunk
+    # (1D has one curl term), not the chunk's cells; the slack covers the
+    # Python objects of the runs
+    config = SimulationConfig(extent=2**17, time_tot=4, source=SourceSpec(location=3))
+    assert config.cell_count * 8 >= 4 * engine._BLOCK_BYTES
+    chunks = len(KernelPlan.for_range(0, config.extent, backend).chunks)
+    fields = 2 * config.cell_count * 8
+    peak = _traced_peak(lambda: run(config, None, backend))
+    assert peak <= fields + chunks * engine._BLOCK_BYTES + 64 * 1024
+
+
 SWEEP_BACKENDS = pytest.mark.parametrize(
     "backends",
     [(Backend.serial(),), (Backend.serial(), Backend.parallel(2))],
@@ -352,8 +366,10 @@ SWEEP_BACKENDS = pytest.mark.parametrize(
 )
 def test_fdtd_sweep_holds_one_jobs_memory_at_a_time(fast_timing, config, backends):
     # the byte gate keeps a digest, not the fields, so timing a backend
-    # stacks nothing on the run it times; the memory cap assumes as much
-    job = _traced_peak(lambda: run(config))
+    # stacks nothing on the run it times; the memory cap assumes as much.
+    # Each chunk holds its own block of scratch, so the job is the largest
+    # of the swept backends' runs, each run alone
+    job = max(_traced_peak(lambda b=b: run(config, None, b)) for b in backends)
     sweep = _traced_peak(lambda: run_fdtd_bench([config], backends=backends))
     assert sweep <= 1.15 * job
 

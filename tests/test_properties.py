@@ -10,6 +10,8 @@ still, so a change that split the tiles again would meet small chunks.
 A coefficient pair whose materials hold one value each, as in vacuum or
 when a drawn block is vacuum or fills the grid, is stored as one cell and
 takes the scalar short form of the update; any other pair the general one.
+One test also lowers the engine's block size to a few cells, so that every
+row of these grids runs as many blocks; blocks too must give the same bits.
 """
 
 import io
@@ -23,6 +25,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import fdtdkit.backends as backends  # noqa: E402
+import fdtdkit.engine as engine  # noqa: E402
 from fdtdkit.backends import Backend, KernelPlan  # noqa: E402
 from fdtdkit.cli import emit_snapshot_csv  # noqa: E402
 from fdtdkit.engine import SnapshotSeries, UpdateCoefficients, run  # noqa: E402
@@ -308,6 +311,90 @@ def test_a_slab_one_ulp_off_its_neighbours_keeps_its_own_factor(shape, precision
         )
         expected = {"ez": ez, "hy": hy}
     for backend, state in _runs(cfg, MaterialGrid(**arrays)):
+        for name, arr in state.components().items():
+            assert np.array_equal(arr, expected[name]), (backend, name)
+
+
+def _blocked_runs(cfg, materials, floor, block):
+    """``_runs`` with rows cut into blocks of ``block`` cells."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_BLOCK_BYTES", block * cfg.precision.dtype.itemsize)
+        return _runs(cfg, materials, floor)
+
+
+def _draw_row_block(data, shape, floor, source):
+    """A block length in cells that often starts a block of some row on a
+    drawn mark: the source cell, a frozen face cell or a chunk edge.
+
+    Rows start on chunk edges, and E rows of the first chunk at their reach,
+    one plane or one line in (one cell in 1D); a length that divides the
+    distance from a row's start to the mark puts a block edge on it.
+    """
+    plane = math.prod(shape[1:])
+    chunk_edges = [lo * plane for lo in _chunk_edges(shape[0], floor)] + [math.prod(shape)]
+    starts = {0, shape[-1], plane, *chunk_edges}
+    marks = [int(np.ravel_multi_index(source, shape)), *chunk_edges[1:]]
+    if len(shape) == 3:
+        # H faces at the last index of a trailing axis, E faces at the first
+        faces = np.zeros(shape, bool)
+        faces[:, :, -1] = faces[:, -1, :] = faces[:, :, 0] = faces[:, 0, :] = True
+        marks += np.flatnonzero(faces).tolist()
+    mark = data.draw(st.sampled_from([m for m in marks if m > 0]), label="edge_on")
+    lengths = sorted({d for r in starts if r < mark for d in range(1, mark - r + 1) if (mark - r) % d == 0})
+    return data.draw(st.sampled_from(lengths) | st.integers(1, 12), label="block")
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rows_cut_into_small_blocks_match_the_oracle(data):
+    """Blocks of a few cells, partial last blocks among them, give the
+    oracle's bits in uniform runs (vacuum), general per-cell runs (a drawn
+    block) and general runs on zero-stride broadcasts (a uniform lossy
+    medium, one cell per pair with ``ca != 1``)."""
+    precision = data.draw(st.sampled_from(list(Precision)), label="precision")
+    dtype = precision.dtype
+    three_d = data.draw(st.booleans(), label="3d")
+    if three_d:
+        shape = tuple(data.draw(st.lists(st.integers(3, 7), min_size=3, max_size=3), label="shape"))
+        source = tuple(data.draw(st.integers(1, n - 2), label="location") for n in shape)
+        courant = data.draw(st.floats(0.05, 1.0 / math.sqrt(3.0)), label="courant")
+        floor = data.draw(st.sampled_from([1, 1, 20]), label="floor")
+    else:
+        shape = (data.draw(st.integers(3, 60), label="xdim"),)
+        source = (data.draw(st.integers(1, shape[0] - 2), label="cell"),)
+        courant = data.draw(st.floats(0.05, 1.0), label="courant")
+        floor = data.draw(st.sampled_from([1, 1, 3, 16]), label="floor")
+    steps = data.draw(st.integers(1, 6 if three_d else 30), label="steps")
+    block = _draw_row_block(data, shape, floor, source)
+    medium = data.draw(st.sampled_from(["vacuum", "block", "uniform-lossy"]), label="medium")
+    everywhere = (slice(None),) * len(shape)
+    if medium == "block":
+        region = _draw_block(data, shape, floor)
+        arrays = _block_materials(shape, region, dtype, *_draw_block_medium(data))
+    elif medium == "uniform-lossy":
+        loss = st.floats(0.01, 0.3)
+        arrays = _block_materials(
+            shape, everywhere, dtype, data.draw(st.floats(1.0, 4.0), label="eps"),
+            data.draw(st.floats(1.0, 4.0), label="mu"),
+            data.draw(loss, label="sigma"), data.draw(loss, label="sigma_star"),
+        )
+    else:
+        arrays = _block_materials(shape, everywhere, dtype, 1.0, 1.0, 0.0, 0.0)
+    materials = MaterialGrid(**arrays)
+    coeff = UpdateCoefficients.from_materials(materials, courant, 1.0)
+    if medium == "uniform-lossy":
+        assert all_strides_zero(coeff.cea, coeff.cha) and coeff.cea.flat[0] != 1
+
+    cfg = SimulationConfig(
+        extent=shape if three_d else shape[0], time_tot=steps, courant=courant, precision=precision,
+        source=SourceSpec(location=source if three_d else source[0], n_lambda=9.0),
+    )
+    if three_d:
+        expected = reference_run_3d(shape, steps, source, courant=courant, n_lambda=9.0, dtype=dtype, **arrays)
+    else:
+        ez, hy = reference_run_1d(shape[0], steps, source[0], courant=courant, n_lambda=9.0, dtype=dtype, **arrays)
+        expected = {"ez": ez, "hy": hy}
+    for backend, state in _blocked_runs(cfg, materials, floor, block):
         for name, arr in state.components().items():
             assert np.array_equal(arr, expected[name]), (backend, name)
 
