@@ -13,10 +13,10 @@ write only cells inside it. Work units are contiguous blocks of at least
 backend says.
 
 Every kernel runs through :func:`execute_stencil` on a
-:class:`StencilExecutor` that the caller has entered; the executor only owns
-the worker pool's lifetime. The pool starts its threads as chunks are
-submitted, so :func:`execute_stencil` is where a thread that cannot start
-raises :class:`BackendResourceError`.
+:class:`StencilExecutor`; the executor only owns the worker pool's lifetime,
+and one that was never entered has no pool and runs every plan inline. The
+pool starts its threads as chunks are submitted, so :func:`execute_stencil`
+is where a thread that cannot start raises :class:`BackendResourceError`.
 
 A backend is named ``serial``, ``parallel`` (``FDTDKIT_WORKERS`` workers,
 else one per CPU) or ``parallel:<k>``. ``k`` and the variable are plain

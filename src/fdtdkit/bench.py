@@ -216,6 +216,11 @@ class SolveBenchRecord:
     skipped: str | None = None
 
     @property
+    def problem(self) -> tuple:
+        """The problem this record measures: a solve is its order and precision."""
+        return (self.bench, self.n, self.precision)
+
+    @property
     def rate(self) -> float | None:
         return self.gigaflops
 
@@ -248,6 +253,11 @@ class FdtdBenchRecord:
     @property
     def n(self) -> int:
         return self.cells
+
+    @property
+    def problem(self) -> tuple:
+        """The problem this record measures: a field run is its cells, steps and precision."""
+        return (self.bench, self.cells, self.steps, self.precision)
 
     @property
     def rate(self) -> float:
@@ -299,17 +309,13 @@ RateRecord = Union[SolveBenchRecord, FdtdBenchRecord]
 def compute_speedup(parallel: RateRecord, serial: RateRecord) -> SpeedupRecord:
     """Pair a parallel and a serial record for the same problem.
 
-    Raises :class:`MismatchedPairError` when sizes or precisions differ, or
-    when the records come from different bench kinds or are skips.
+    Raises :class:`MismatchedPairError` unless both records measure one
+    ``problem``, the parallel one comes first, and neither is a skip.
     """
     if parallel.bench != serial.bench:
         raise MismatchedPairError(f"bench kinds differ: {parallel.bench} vs {serial.bench}")
-    if parallel.n != serial.n:
-        raise MismatchedPairError(f"sizes differ: {parallel.n} vs {serial.n}")
-    if parallel.precision is not serial.precision:
-        raise MismatchedPairError(
-            f"precisions differ: {parallel.precision.value} vs {serial.precision.value}"
-        )
+    if parallel.problem != serial.problem:
+        raise MismatchedPairError(f"problems differ: {parallel.problem} vs {serial.problem}")
     if not parallel.backend.is_parallel or serial.backend.is_parallel:
         raise MismatchedPairError("expected (parallel, serial) in that order")
     if parallel.rate is None or serial.rate is None:
@@ -327,15 +333,13 @@ def compute_speedup(parallel: RateRecord, serial: RateRecord) -> SpeedupRecord:
 
 def pair_speedups(records: Sequence[RateRecord]) -> list[SpeedupRecord]:
     """Match each parallel measurement with the serial one for its problem."""
-    serial_by_key = {
-        (r.n, r.precision): r
-        for r in records
-        if not r.backend.is_parallel and r.rate is not None
+    serial_by_problem = {
+        r.problem: r for r in records if not r.backend.is_parallel and r.rate is not None
     }
     pairs = []
     for rec in records:
         if rec.backend.is_parallel and rec.rate is not None:
-            serial = serial_by_key.get((rec.n, rec.precision))
+            serial = serial_by_problem.get(rec.problem)
             if serial is not None:
                 pairs.append(compute_speedup(rec, serial))
     return pairs
@@ -435,12 +439,14 @@ def run_linsolve_bench(
     """Dense-solve sweep over sizes, precisions, and backends.
 
     Problems whose footprint model exceeds the memory cap produce a skip
-    record with reason ``MemoryLimit`` and are never allocated. Identical
+    record with reason ``MemoryLimit`` and are never allocated; a cap below 1
+    byte raises :class:`NonPositiveInputError` before the first. Identical
     seeds give bitwise-identical matrices, solutions, and residuals. Before
     timing, the byte gate checks every backend's factors, pivots and solution
     against the first backend's; a mismatch is a hard error.
     """
     cap = default_memory_cap() if memory_cap_bytes is None else memory_cap_bytes
+    _require_positive("memory_cap_bytes", cap)
     records: list[SolveBenchRecord] = []
     for n in sizes:
         if n < 1:

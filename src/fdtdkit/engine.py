@@ -90,8 +90,6 @@ import numpy as np
 
 from .backends import Backend, KernelPlan, StencilExecutor, execute_stencil
 from .model import (
-    EPS0,
-    MU0,
     FieldState,
     FieldState1D,
     FieldState3D,
@@ -402,20 +400,15 @@ def run(
     as soon as a snapshot or the final state holds NaN or Inf. Only those
     states are checked, not every step.
     """
+    vacuum = make_vacuum_materials(config.extent, config.precision, config.units)
     if materials is None:
-        materials = make_vacuum_materials(config.extent, config.precision, config.units)
-    if materials.shape != config.shape:
-        raise ValueError(f"materials shape {materials.shape} != grid shape {config.shape}")
-    if materials.dtype != config.precision.dtype:
-        raise ValueError(
-            f"materials dtype {materials.dtype} != run precision {config.precision.dtype}"
-        )
+        materials = vacuum
+    require_matching(vacuum=vacuum.epsilon, materials=materials.epsilon)
     # The fastest cell has the smallest eps*mu. Vacuum's product is rounded in
     # the run's dtype, so a vacuum grid scales the Courant number by exactly 1.
-    dtype = materials.dtype
-    vacuum = dtype.type(1) if config.units == "normalized" else dtype.type(EPS0) * dtype.type(MU0)
-    # a broadcast of one value is taken on its one cell, not over the grid
-    speed_sq = float(vacuum) / float((stored_cells(materials.epsilon) * stored_cells(materials.mu)).min())
+    # A broadcast of one value is taken on its one cell, not over the grid.
+    low = (stored_cells(materials.epsilon) * stored_cells(materials.mu)).min()
+    speed_sq = float(vacuum.epsilon.flat[0] * vacuum.mu.flat[0]) / float(low)
     validate_stability(config.dims, config.courant * math.sqrt(speed_sq))
     coeff = UpdateCoefficients.from_materials(materials, config.deltat, config.delta)
     state: FieldState = _state_class(config).zeros(config.extent, config.precision)

@@ -23,10 +23,11 @@ right-looking blocked factorization. For each panel of ``_NB`` columns:
 
 Every backend runs the trailing update as one chunk of :func:`execute_stencil`,
 on the caller's thread: BLAS already runs each tile's GEMM on its own
-threads, so BLAS is the one parallel layer of the solve. A pool that split
-the tiles as well oversubscribed the CPUs: on a 2-CPU Xeon, n=1024 float64
-(perfbench ``lu-dense``, medians of 10 runs), ``parallel:2`` took 0.140 s
-against 0.113 s serial; as one chunk it takes 0.102 s against 0.100 s.
+threads, so BLAS is the one parallel layer of the solve, and the solve opens
+no pool of its own. A pool that split the tiles as well oversubscribed the
+CPUs: on a 2-CPU Xeon, n=1024 float64 (perfbench ``lu-dense``, medians of
+10 runs), ``parallel:2`` took 0.140 s against 0.113 s serial; as one chunk
+it takes 0.102 s against 0.100 s.
 The panel runs on the caller's thread too, so every output element is
 computed by the same operations whatever the backend or worker count, and
 Serial and Parallel(k) give the same bits. A matrix of order ``n <= _NB``
@@ -67,7 +68,6 @@ row permutation that was applied.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +91,11 @@ class SingularMatrixError(ValueError):
         super().__init__(f"matrix is singular: pivot column {column} is exactly zero")
 
 
+def _require_square(name: str, a: np.ndarray) -> None:
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {a.shape}")
+
+
 @dataclass(frozen=True)
 class LuFactorization:
     """Compact LU factors and the row permutation such that a[perm] = L @ U."""
@@ -99,10 +104,8 @@ class LuFactorization:
     perm: np.ndarray
 
     def __post_init__(self) -> None:
-        n = self.lu.shape[0]
-        if self.lu.ndim != 2 or self.lu.shape[1] != n:
-            raise ValueError(f"lu must be square, got shape {self.lu.shape}")
-        if self.perm.shape != (n,):
+        _require_square("lu", self.lu)
+        if self.perm.shape != (self.n,):
             raise ValueError("perm length must match the matrix order")
 
     @property
@@ -112,8 +115,7 @@ class LuFactorization:
 
 def _as_square_float(a: FloatArray) -> FloatArray:
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    _require_square("a", a)
     require_float_dtype("a", a.dtype)
     if not all_finite(a):
         raise ValueError("a must be finite everywhere")
@@ -186,7 +188,8 @@ def lu_factor(
     """Factor ``a`` in its own precision; the input matrix is left untouched.
 
     The trailing updates run on ``executor`` as one chunk each, on every
-    backend; ``backend`` only opens a new executor when none is passed in.
+    backend. The solve opens no pool of its own: without ``executor`` they
+    run inline on a ``StencilExecutor(backend)`` that is never entered.
 
     Raises :class:`SingularMatrixError` when a pivot column is exactly zero
     below and on the diagonal (graceful degradation stops there; near-zero
@@ -196,26 +199,25 @@ def lu_factor(
     a = _as_square_float(a).copy()
     n = a.shape[0]
     perm = np.arange(n)
+    ex = StencilExecutor(backend) if executor is None else executor
+    for k0 in range(0, n, _NB):
+        k1 = min(k0 + _NB, n)
+        _factor_panel(a, perm, k0, k1)
+        if k1 == n:
+            break
+        for i in range(k0 + 1, k1):
+            a[i, k1:] -= a[i, k0:i] @ a[k0:i, k1:]
+        l21 = a[k1:, k0:k1]
+        u12 = a[k0:k1, k1:]
+        trailing = a[k1:, k1:]
 
-    with nullcontext(executor) if executor is not None else StencilExecutor(backend) as ex:
-        for k0 in range(0, n, _NB):
-            k1 = min(k0 + _NB, n)
-            _factor_panel(a, perm, k0, k1)
-            if k1 == n:
-                break
-            for i in range(k0 + 1, k1):
-                a[i, k1:] -= a[i, k0:i] @ a[k0:i, k1:]
-            l21 = a[k1:, k0:k1]
-            u12 = a[k0:k1, k1:]
-            trailing = a[k1:, k1:]
+        def kernel(lo: int, hi: int) -> None:
+            for t in range(lo, hi):
+                tile = slice(t * _TILE, (t + 1) * _TILE)
+                trailing[:, tile] -= l21 @ u12[:, tile]
 
-            def kernel(lo: int, hi: int) -> None:
-                for t in range(lo, hi):
-                    tile = slice(t * _TILE, (t + 1) * _TILE)
-                    trailing[:, tile] -= l21 @ u12[:, tile]
-
-            tiles = -(-(n - k1) // _TILE)
-            execute_stencil(kernel, KernelPlan(0, tiles, ((0, tiles),)), ex.backend, ex)
+        tiles = -(-(n - k1) // _TILE)
+        execute_stencil(kernel, KernelPlan(0, tiles, ((0, tiles),)), ex.backend, ex)
     return LuFactorization(lu=a, perm=perm)
 
 
@@ -242,11 +244,14 @@ def lu_solve(factorization: LuFactorization, b: FloatArray) -> FloatArray:
 
 
 def relative_residual(a: FloatArray, x: FloatArray, b: FloatArray) -> float:
-    """Scaled backward error: ||Ax - b||_inf / (||A||_inf ||x||_inf + ||b||_inf)."""
+    """Scaled backward error: ||Ax - b||_inf / (||A||_inf ||x||_inf + ||b||_inf),
+    or 0.0 where that denominator is 0."""
     r = a @ x - b
     # row sums in blocks of _TILE rows, so |a| is never a full n x n transient
-    norm_a = max(float(np.abs(a[i : i + _TILE]).sum(axis=1).max()) for i in range(0, len(a), _TILE))
-    denom = norm_a * float(np.abs(x).max()) + float(np.abs(b).max())
+    blocks = (float(np.abs(a[i : i + _TILE]).sum(axis=1).max()) for i in range(0, len(a), _TILE))
+    # an empty system has no rows: its norms are 0, as is its denominator
+    norm_a = max(blocks, default=0.0)
+    denom = norm_a * float(np.abs(x).max(initial=0.0)) + float(np.abs(b).max(initial=0.0))
     if denom == 0.0:
         return 0.0
     return float(np.abs(r).max()) / denom

@@ -1,5 +1,6 @@
 """Work partitioning and the serial/parallel equivalence contract."""
 
+import os
 import re
 import threading
 import time
@@ -58,12 +59,31 @@ def test_worker_count_env_override(monkeypatch):
             default_worker_count()
 
 
+def test_worker_count_without_the_env_var_is_the_cpu_count(monkeypatch):
+    monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 7)
+    assert default_worker_count() == 7
+    # os.cpu_count() is None when the count cannot be determined
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert default_worker_count() == 1
+
+
 def test_plan_single_chunk_when_small_or_serial():
     serial = KernelPlan.for_range(0, 100, Backend.serial())
     assert serial.chunks == ((0, 100),)
     # parallel backend, but too little work to be worth splitting
     small = KernelPlan.for_range(0, MIN_CHUNK_CELLS, Backend.parallel(8))
     assert small.chunks == ((0, MIN_CHUNK_CELLS),)
+
+
+def test_an_empty_range_plans_no_chunks_and_runs_nothing():
+    calls = []
+    for backend in (Backend.serial(), Backend.parallel(4)):
+        plan = KernelPlan.for_range(5, 5, backend)
+        assert (plan.start, plan.stop, plan.chunks) == (5, 5, ())
+        with StencilExecutor(backend) as ex:
+            execute_stencil(lambda lo, hi: calls.append((lo, hi)), plan, backend, ex)
+    assert calls == []
 
 
 def test_plan_partition_tiles_range():

@@ -208,6 +208,26 @@ def test_linsolve_bench_rejects_an_order_below_one():
         run_linsolve_bench([0])
 
 
+def test_linsolve_bench_rejects_a_memory_cap_below_one_byte(monkeypatch):
+    def no_problem(*args, **kwargs):
+        raise AssertionError("a problem was built before the cap was checked")
+
+    monkeypatch.setattr(bench, "_solve_problem", no_problem)
+    for cap in (0, -1):
+        # a cap that admits nothing is a usage error, not a sweep of skips
+        with pytest.raises(NonPositiveInputError, match="memory_cap_bytes"):
+            run_linsolve_bench([8], memory_cap_bytes=cap)
+
+
+def test_default_memory_cap_falls_back_to_4_gib_when_sysconf_raises(monkeypatch):
+    for error in (ValueError, OSError):
+        def sysconf(name, error=error):
+            raise error(name)
+
+        monkeypatch.setattr(bench.os, "sysconf", sysconf)
+        assert bench.default_memory_cap() == 4 * 2**30
+
+
 def test_fdtd_cell_updates_formula():
     cfg = SimulationConfig(extent=1000, time_tot=50, source=SourceSpec(location=500))
     assert fdtd_cell_updates(cfg) == 1000 * 2 * 50
@@ -222,6 +242,25 @@ def test_fdtd_bench_records_and_pairing(fast_timing):
     (sp,) = pair_speedups(records)
     assert sp.key() == "fdtd:64:double:parallel:2"
     assert sp.speedup == records[1].updates_per_s / records[0].updates_per_s
+
+
+def test_field_records_pair_only_within_their_problem(fast_timing):
+    # the same cells and precision, two step counts: two problems
+    configs = [
+        SimulationConfig(extent=4096, time_tot=steps, source=SourceSpec(location=2048))
+        for steps in (2, 40)
+    ]
+    records = run_fdtd_bench(configs, backends=[Backend.serial(), Backend.parallel(2)], repeats=3)
+    assert [(r.steps, str(r.backend)) for r in records] == [
+        (2, "serial"), (2, "parallel:2"), (40, "serial"), (40, "parallel:2"),
+    ]
+    pairs = pair_speedups(records)
+    assert [(sp.rate_parallel, sp.rate_serial) for sp in pairs] == [
+        (records[1].updates_per_s, records[0].updates_per_s),
+        (records[3].updates_per_s, records[2].updates_per_s),
+    ]
+    with pytest.raises(MismatchedPairError, match="problems differ"):
+        compute_speedup(records[1], records[2])
 
 
 def test_run_footprint_counts_fields_coefficients_scratch_and_snapshots():

@@ -74,10 +74,12 @@ def test_bad_worker_count_is_exit_2_and_names_the_text(capsys):
         (["simulate", "--xdim", "8", "--delta", "0"], "delta"),
         (["simulate", "--xdim", "8", "--steps", "0"], "time_tot"),
         (["simulate", "--xdim", "8", "--snapshot-every", "-1"], "snapshot_every"),
+        (["bench-linsolve", "--sizes", "8", "--memory-cap-bytes", "-1"], "memory_cap_bytes"),
     ],
     ids=[
         "empty-sizes", "empty-backends", "empty-xdim", "empty-bytes", "sizes-not-int",
         "order-0", "tstart", "amplitude", "delta", "steps", "snapshot-every",
+        "memory-cap",
     ],
 )
 def test_rejected_values_are_exit_2_and_name_the_problem(argv, message, tmp_path, capsys):

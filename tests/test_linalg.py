@@ -168,6 +168,20 @@ def test_relative_residual_of_exact_solution_is_zero():
     assert relative_residual(a, b, b) == 0.0
 
 
+def test_relative_residual_of_an_empty_system_is_zero():
+    a, b = np.zeros((0, 0)), np.zeros(0)
+    x = lu_solve(lu_factor(a), b)
+    assert x.shape == (0,)
+    assert relative_residual(a, x, b) == 0.0
+
+
+def test_relative_residual_with_a_zero_denominator_is_zero():
+    # x = 0 and b = 0: ||A|| ||x|| + ||b|| is 0, and so is the residual
+    a = np.array([[2.0, 1.0], [1.0, 3.0]])
+    zero = np.zeros(2)
+    assert relative_residual(a, zero, zero) == 0.0
+
+
 def test_zero_pivot_past_the_first_panel_names_its_column():
     a = np.zeros((101, 101))
     a[:100, :100] = np.eye(100)
